@@ -24,6 +24,7 @@ and (empirically) monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -459,9 +460,25 @@ def detection_latency_table(
                 immediate_positives += int(verdict.tainted)
                 check_i += 1
 
-        for event in recorded.trace:
-            drain_pending(event.instruction_index)
-            buffered.on_memory_event(event)
+        # Feed the trace in column slices that end just before the next
+        # event reaching a pending source or check: inside a slice the
+        # per-event drain_pending calls would all be no-ops.
+        columns = recorded.trace.columns()
+        indices = columns.indices
+        position = 0
+        while position < len(indices):
+            drain_pending(indices[position])
+            barrier = min(
+                sources[source_i].instruction_index
+                if source_i < len(sources) else math.inf,
+                checks[check_i].instruction_index
+                if check_i < len(checks) else math.inf,
+            )
+            stop = position + 1
+            while stop < len(indices) and indices[stop] < barrier:
+                stop += 1
+            buffered.on_columns(columns, position, stop)
+            position = stop
         buffered.drain_all()
         drain_pending(recorded.instruction_count)
         buffered.drain_all()

@@ -33,6 +33,15 @@ in main memory).  Watermarks expose *backpressure*: when the FIFO depth
 crosses ``high_watermark`` the ``backpressure`` flag raises (and is
 counted) until depth falls back to ``low_watermark``.
 
+The FIFO holds *segments* — ``[columns, lo, hi]`` slices of
+:class:`~repro.core.events.EventColumns` — not per-event objects, with
+integer depth counters beside them.  :meth:`BufferedPIFT.on_columns`
+enqueues a whole decoded chunk as one segment, :meth:`~BufferedPIFT
+.on_memory_event` appends to an open tail segment, and a drain hands
+each segment slice to the tracker's ``observe_columns`` in one call.
+Chunked and per-event feeding are observationally identical: the same
+policy decisions, watermark crossings, stats, telemetry and verdicts.
+
 Once any event has been force-dropped — by an overflow policy or by an
 injected fault (:mod:`repro.core.faults`) — the taint state is no longer
 trustworthy: immediate answers carry a ``degraded`` flag
@@ -49,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
-from repro.core.events import AccessKind, MemoryAccess
+from repro.core.events import AccessKind, EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
@@ -188,8 +197,14 @@ class BufferedPIFT:
             raise ValueError("low_watermark must be in [0, high_watermark)")
         self.stats = BufferStats()
         self.late_detections: List[LateDetection] = []
-        self._queue: Deque[MemoryAccess] = deque()
-        self._spill: Deque[MemoryAccess] = deque()
+        # FIFO and spill queue of ``[columns, lo, hi]`` segments, oldest
+        # first, with their event counts kept beside them.
+        self._queue: Deque[list] = deque()
+        self._spill: Deque[list] = deque()
+        self._queue_depth = 0
+        self._spill_depth = 0
+        #: The growable columns :meth:`on_memory_event` appends to.
+        self._tail: Optional[EventColumns] = None
         self._pending_immediate: List[tuple] = []
         self._backpressure = False
         self._on_backpressure = on_backpressure
@@ -253,60 +268,139 @@ class BufferedPIFT:
 
     def on_memory_event(self, event: MemoryAccess) -> None:
         """Append one event; apply the overflow policy when the FIFO is full."""
-        if (
-            self.policy is not OverflowPolicy.BLOCK
-            and len(self._queue) >= self.capacity
-        ):
-            if not self._make_room():
-                return  # DROP_NEWEST refused the incoming event
-        self._queue.append(event)
-        self._enqueue_seq += 1
-        self.stats.events_buffered += 1
-        if len(self._queue) > self.stats.max_queue_depth:
-            self.stats.max_queue_depth = len(self._queue)
-        if self._tel is not None:
-            self._m_events.inc()
-            self._m_depth.set(len(self._queue))
-        self._update_backpressure()
-        if (
-            self.policy is OverflowPolicy.BLOCK
-            and len(self._queue) >= self.capacity
-        ):
-            self.drain(self.drain_batch)
+        tail = self._tail
+        if tail is None or len(tail) >= self.capacity:
+            # Start a fresh tail so drained events are freed segment by
+            # segment instead of pinning one ever-growing encoding.
+            tail = self._tail = EventColumns.empty()
+        position = len(tail)
+        tail.append(event)
+        self._enqueue(tail, position, position + 1)
 
     def _on_memory_event_with_faults(self, event: MemoryAccess) -> None:
         """Fault-path shadow of :meth:`on_memory_event` (instance-bound)."""
         for delivered in self._injector.feed(event):
             type(self).on_memory_event(self, delivered)
 
-    def _make_room(self) -> bool:
-        """Apply a non-blocking overflow policy; False rejects the event."""
-        if self.policy is OverflowPolicy.DROP_NEWEST:
-            self.stats.forced_drops += 1
+    def on_columns(
+        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
+    ) -> None:
+        """Append events ``[start, stop)`` of ``columns`` as one chunk.
+
+        Observationally identical to :meth:`on_memory_event` on each event
+        in turn — overflow policy, watermark callbacks, stats, telemetry
+        and every later verdict — but the FIFO keeps a slice of
+        ``columns`` instead of per-event objects, and a drain hands it to
+        the tracker whole.  ``columns`` may grow, but the events it has
+        queued must not change until they are drained.
+        """
+        if stop is None:
+            stop = len(columns)
+        if self._injector is not None:
+            # Event-path faults perturb single events.
+            on_event = self.on_memory_event
+            for event in columns.events[start:stop]:
+                on_event(event)
+            return
+        self._enqueue(columns, start, stop)
+
+    def _enqueue(self, columns: EventColumns, start: int, stop: int) -> None:
+        """The per-event FIFO rules, applied to runs of events at a time.
+
+        Each pass appends as many events as fit before the policy must act
+        again; within such a run the depth only rises, so the watermark
+        check at its first event and at the high-watermark crossing
+        reproduce every transition the per-event path makes.
+        """
+        capacity = self.capacity
+        policy = self.policy
+        stats = self.stats
+        while start < stop:
+            if (
+                policy is not OverflowPolicy.BLOCK
+                and self._queue_depth >= capacity
+            ):
+                if policy is OverflowPolicy.DROP_NEWEST:
+                    self._count_forced_drops(stop - start)
+                    return
+                self._make_room()
+            depth = self._queue_depth
+            take = min(stop - start, max(1, capacity - depth))
+            self._push(self._queue, columns, start, start + take)
+            start += take
+            self._queue_depth = top = depth + take
+            self._enqueue_seq += take
+            stats.events_buffered += take
+            if top > stats.max_queue_depth:
+                stats.max_queue_depth = top
             if self._tel is not None:
-                self._m_forced_drops.inc()
+                self._m_events.inc(take)
+                self._m_depth.set(top)
+            self._update_backpressure(depth + 1)
+            if not self._backpressure and top >= self._high_watermark:
+                self._update_backpressure(
+                    max(depth + 1, self._high_watermark)
+                )
+            if policy is OverflowPolicy.BLOCK and top >= capacity:
+                self.drain(self.drain_batch)
+
+    @staticmethod
+    def _push(queue: Deque[list], columns: EventColumns, lo: int, hi: int) -> None:
+        """Append a slice, extending the newest segment when contiguous."""
+        if queue:
+            last = queue[-1]
+            if last[0] is columns and last[2] == lo:
+                last[2] = hi
+                return
+        queue.append([columns, lo, hi])
+
+    @staticmethod
+    def _pop(queue: Deque[list], count: int) -> List[tuple]:
+        """Remove the oldest ``count`` events; returns them as slices."""
+        taken = []
+        while count:
+            segment = queue[0]
+            columns, lo, hi = segment
+            step = min(count, hi - lo)
+            taken.append((columns, lo, lo + step))
+            if lo + step == hi:
+                queue.popleft()
+            else:
+                segment[1] = lo + step
+            count -= step
+        return taken
+
+    def _count_forced_drops(self, count: int) -> None:
+        self.stats.forced_drops += count
+        if self._tel is not None:
+            self._m_forced_drops.inc(count)
+            for _ in range(count):
                 self._tel.event("forced_drop", policy=self.policy.value)
-            return False
+
+    def _make_room(self) -> None:
+        """Free FIFO space: DROP_OLDEST loses one event, SPILL moves a burst."""
         if self.policy is OverflowPolicy.DROP_OLDEST:
-            self._queue.popleft()
+            self._pop(self._queue, 1)
+            self._queue_depth -= 1
             self._retired_seq += 1
-            self.stats.forced_drops += 1
-            if self._tel is not None:
-                self._m_forced_drops.inc()
-                self._tel.event("forced_drop", policy=self.policy.value)
-            return True
+            self._count_forced_drops(1)
+            return
         # SPILL: burst-write the oldest drain_batch events to main memory.
-        burst = min(self.drain_batch, len(self._queue))
-        for _ in range(burst):
-            self._spill.append(self._queue.popleft())
+        burst = min(self.drain_batch, self._queue_depth)
+        for columns, lo, hi in self._pop(self._queue, burst):
+            self._push(self._spill, columns, lo, hi)
+        self._queue_depth -= burst
+        self._spill_depth += burst
         self.stats.spilled_events += burst
         if self._tel is not None:
             self._m_spilled.inc(burst)
-            self._tel.event("spill", events=burst, spill_depth=len(self._spill))
-        return True
+            self._tel.event(
+                "spill", events=burst, spill_depth=self._spill_depth
+            )
 
-    def _update_backpressure(self) -> None:
-        depth = len(self._queue)
+    def _update_backpressure(self, depth: Optional[int] = None) -> None:
+        if depth is None:
+            depth = self._queue_depth
         if not self._backpressure and depth >= self._high_watermark:
             self._backpressure = True
             self.stats.backpressure_engagements += 1
@@ -349,12 +443,12 @@ class BufferedPIFT:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return self._queue_depth
 
     @property
     def spill_depth(self) -> int:
         """Events waiting in the secondary (main-memory) spill queue."""
-        return len(self._spill)
+        return self._spill_depth
 
     @property
     def backpressure(self) -> bool:
@@ -380,39 +474,61 @@ class BufferedPIFT:
         """Process up to ``batch`` queued events (all of them if None).
 
         Spilled events are worked through first — they are the oldest,
-        and FIFO order must hold for reconciliation.
+        and FIFO order must hold for reconciliation.  Each segment slice
+        reaches the tracker in one ``observe_columns`` call.
         """
-        available = len(self._spill) + len(self._queue)
+        available = self._spill_depth + self._queue_depth
         limit = available if batch is None else min(batch, available)
         started = time.perf_counter() if self._tel is not None else 0.0
         injector = self._injector
-        spill = self._spill
-        queue = self._queue
-        observe = self.tracker.observe
-        for _ in range(limit):
-            event = spill.popleft() if spill else queue.popleft()
-            observe(event)
-            self._retired_seq += 1
-            if injector is not None:
-                injector.state_faults(self.tracker, event.pid)
-        if limit:
-            self.stats.drains += 1
-            self.stats.events_drained += limit
-        if self._tel is not None and limit:
-            elapsed = time.perf_counter() - started
-            self._m_drains.inc()
-            self._m_drained.inc(limit)
-            self._m_depth.set(len(self._queue))
-            self._m_drain_seconds.observe(elapsed)
-            self._tel.event(
-                "drain",
-                events=limit,
-                remaining=len(self._queue),
-                duration_us=round(elapsed * 1e6, 3),
-            )
-        self._update_backpressure()
-        self._reconcile_immediate_checks()
-        return limit
+        tracker = self.tracker
+        drained = 0
+        try:
+            while drained < limit:
+                spilled = self._spill_depth > 0
+                queue = self._spill if spilled else self._queue
+                segment = queue[0]
+                columns, lo, hi = segment
+                step = min(limit - drained, hi - lo)
+                if injector is None:
+                    tracker.observe_columns(columns, lo, lo + step)
+                else:
+                    # Storage faults draw once per processed event.
+                    events = columns.events
+                    for i in range(lo, lo + step):
+                        tracker.observe(events[i])
+                        injector.state_faults(tracker, events[i].pid)
+                # Retire the slice only once the tracker has taken it, so
+                # an exception leaves every unprocessed event queued.
+                if lo + step == hi:
+                    queue.popleft()
+                else:
+                    segment[1] = lo + step
+                if spilled:
+                    self._spill_depth -= step
+                else:
+                    self._queue_depth -= step
+                self._retired_seq += step
+                drained += step
+        finally:
+            if drained:
+                self.stats.drains += 1
+                self.stats.events_drained += drained
+            if self._tel is not None and drained:
+                elapsed = time.perf_counter() - started
+                self._m_drains.inc()
+                self._m_drained.inc(drained)
+                self._m_depth.set(self._queue_depth)
+                self._m_drain_seconds.observe(elapsed)
+                self._tel.event(
+                    "drain",
+                    events=drained,
+                    remaining=self._queue_depth,
+                    duration_us=round(elapsed * 1e6, 3),
+                )
+            self._update_backpressure()
+            self._reconcile_immediate_checks()
+        return drained
 
     def drain_all(self) -> int:
         return self.drain(None)
@@ -422,7 +538,7 @@ class BufferedPIFT:
     def check_blocking(self, address_range: AddressRange, pid: int = 0) -> bool:
         """Prevention semantics: wait for the buffer, then answer."""
         self.stats.blocking_checks += 1
-        self.stats.blocking_drain_events += len(self._queue) + len(self._spill)
+        self.stats.blocking_drain_events += self._queue_depth + self._spill_depth
         self.drain_all()
         if self.degraded:
             self.stats.degraded_checks += 1
@@ -468,7 +584,7 @@ class BufferedPIFT:
         else:
             answer = self.tracker.check(address_range, pid=pid)
         if not answer:
-            behind = len(self._queue) + len(self._spill)
+            behind = self._queue_depth + self._spill_depth
             self._pending_immediate.append(
                 (sink_name, address_range, pid, behind, self._enqueue_seq)
             )
@@ -524,19 +640,25 @@ class BufferedPIFT:
         and spill contents, buffer stats, backpressure state, and the
         provisional immediate checks with their sequence barriers.
         """
-        def pack(event: MemoryAccess) -> list:
+        load, store = AccessKind.LOAD.value, AccessKind.STORE.value
+
+        def pack(segments: Deque[list]) -> list:
             return [
-                event.kind.value,
-                event.address_range.start,
-                event.address_range.end,
-                event.instruction_index,
-                event.pid,
+                [
+                    load if columns.is_loads[i] else store,
+                    columns.ranges[i].start,
+                    columns.ranges[i].end,
+                    columns.indices[i],
+                    columns.pids[i],
+                ]
+                for columns, lo, hi in segments
+                for i in range(lo, hi)
             ]
 
         return {
             "tracker": self.tracker.snapshot(),
-            "queue": [pack(event) for event in self._queue],
-            "spill": [pack(event) for event in self._spill],
+            "queue": pack(self._queue),
+            "spill": pack(self._spill),
             "stats": self.stats.as_dict(),
             "pending": [
                 [sink, rng.start, rng.end, pid, behind, barrier]
@@ -558,16 +680,20 @@ class BufferedPIFT:
 
     def restore(self, snapshot: dict) -> None:
         """Restore a :meth:`snapshot` exactly (construction params aside)."""
-        def unpack(packed) -> MemoryAccess:
-            kind, start, end, index, pid = packed
-            return MemoryAccess(
-                AccessKind(kind), AddressRange(int(start), int(end)),
-                int(index), int(pid),
-            )
+        def unpack(packed_events) -> Tuple[Deque[list], int]:
+            columns = EventColumns.empty()
+            for kind, start, end, index, pid in packed_events:
+                columns.append(MemoryAccess(
+                    AccessKind(kind), AddressRange(int(start), int(end)),
+                    int(index), int(pid),
+                ))
+            count = len(columns)
+            return deque([[columns, 0, count]] if count else []), count
 
         self.tracker.restore(snapshot["tracker"])
-        self._queue = deque(unpack(packed) for packed in snapshot["queue"])
-        self._spill = deque(unpack(packed) for packed in snapshot["spill"])
+        self._queue, self._queue_depth = unpack(snapshot["queue"])
+        self._spill, self._spill_depth = unpack(snapshot["spill"])
+        self._tail = None
         self.stats = BufferStats.from_dict(snapshot["stats"])
         self._pending_immediate = [
             (sink, AddressRange(int(start), int(end)), int(pid),

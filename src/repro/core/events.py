@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.ranges import AddressRange
 
@@ -113,24 +113,58 @@ class EventColumns:
     which is where most of the per-event Python overhead lives.  Encode
     once (``EventTrace.columns()`` caches the encoding), replay many times
     — the record-once/replay-many shape every ``(NI, NT)`` sweep has.
+
+    Columns decoded straight off the wire (``repro serve``) carry no
+    :class:`MemoryAccess` objects: pass ``events=None`` and
+    :attr:`events` materialises them on first use, for the per-event
+    consumers (a telemetry-shadowed tracker, a fault injector).
     """
 
-    __slots__ = ("events", "is_loads", "ranges", "indices", "pids", "_arrays")
+    __slots__ = ("_events", "is_loads", "ranges", "indices", "pids", "_arrays")
 
     def __init__(
         self,
-        events: Sequence[MemoryAccess],
+        events: Optional[List[MemoryAccess]],
         is_loads: List[bool],
         ranges: List[AddressRange],
         indices: List[int],
         pids: List[int],
     ) -> None:
-        self.events = events
+        self._events = events
         self.is_loads = is_loads
         self.ranges = ranges
         self.indices = indices
         self.pids = pids
         self._arrays: Optional[ColumnArrays] = None
+
+    @classmethod
+    def empty(cls) -> "EventColumns":
+        """A growable encoding for :meth:`append`."""
+        return cls([], [], [], [], [])
+
+    @property
+    def events(self) -> List[MemoryAccess]:
+        """The events as objects (built on first use when decoded)."""
+        if self._events is None:
+            self._events = [
+                MemoryAccess(
+                    AccessKind.LOAD if is_load else AccessKind.STORE,
+                    address_range, index, pid,
+                )
+                for is_load, address_range, index, pid in zip(
+                    self.is_loads, self.ranges, self.indices, self.pids
+                )
+            ]
+        return self._events
+
+    def append(self, event: MemoryAccess) -> None:
+        """Grow the encoding by one event (drops the numpy cache)."""
+        self.events.append(event)
+        self.is_loads.append(event.kind is AccessKind.LOAD)
+        self.ranges.append(event.address_range)
+        self.indices.append(event.instruction_index)
+        self.pids.append(event.pid)
+        self._arrays = None
 
     @classmethod
     def from_events(cls, events: Iterable[MemoryAccess]) -> "EventColumns":

@@ -104,9 +104,14 @@ class DeviceClient(_Connection):
     ) -> "DeviceClient":
         reader, writer = await open_connection(host, port, unix_path)
         client = cls(reader, writer, device, colours=colours)
-        await client.request(
-            protocol.hello_frame(device, colours=colours), "welcome"
-        )
+        try:
+            await client.request(
+                protocol.hello_frame(device, colours=colours), "welcome"
+            )
+        except BaseException:
+            # A refused handshake must not leak the socket.
+            await client.close()
+            raise
         return client
 
     async def stream_run(

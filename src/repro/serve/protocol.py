@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.replay import replay_plan_for, source_colour
 from repro.android.device import RecordedRun
-from repro.core.events import AccessKind, MemoryAccess
+from repro.core.events import EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 
 PROTOCOL_VERSION = 1
@@ -127,38 +127,131 @@ def events_frame(events: List[MemoryAccess]) -> dict:
     }
 
 
-def decode_events(frame: dict) -> Iterator[MemoryAccess]:
-    """Rebuild the :class:`MemoryAccess` stream of an ``events`` frame."""
+#: The one value type a column entry may have.  JSON numbers arrive as
+#: ``int`` or ``float`` and ``true``/``false`` as ``bool`` (an ``int``
+#: subclass); only exact ``int`` is accepted, so nothing is truncated or
+#: coerced.
+_INT = frozenset({int})
+
+#: Every value must also fit an int64: the vectorised kernel turns the
+#: columns into int64 numpy arrays.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+_EVENT_COLUMNS = ("starts", "sizes", "indices", "pids")
+
+
+def _int64(value, what: str) -> int:
+    """``value`` if it is an ``int`` (not ``bool``) that fits an int64."""
+    if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+        raise ProtocolError(f"{what} must be a 64-bit integer, got {value!r}")
+    return value
+
+
+def decode_columns(frame: dict) -> Dict[int, EventColumns]:
+    """Validate an ``events`` frame into per-PID column chunks.
+
+    Returns ``{pid: EventColumns}`` in order of each PID's first event;
+    every chunk holds that PID's events in frame order.  No
+    :class:`~repro.core.events.MemoryAccess` is built — a shard enqueues
+    the chunk as is (:meth:`repro.serve.shard.TrackerShard.ingest`).
+
+    The whole frame is checked before anything is built, so a bad frame
+    raises :class:`ProtocolError` and no shard sees any of it: a missing
+    column, a ``kinds`` that is not a string of ``l``/``s``, a column
+    that is not a list, columns of different lengths, any value that is
+    not an ``int`` (``bool`` and ``float`` included), a negative start,
+    a size below 1, or an end address, index or PID outside int64.
+    """
     try:
         kinds = frame["kinds"]
-        starts = frame["starts"]
-        sizes = frame["sizes"]
-        indices = frame["indices"]
-        pids = frame["pids"]
+        columns = [frame[name] for name in _EVENT_COLUMNS]
     except KeyError as error:
         raise ProtocolError(f"events frame missing {error}") from error
-    if not (len(kinds) == len(starts) == len(sizes)
-            == len(indices) == len(pids)):
-        raise ProtocolError("events frame columns disagree on length")
-    for kind, start, size, index, pid in zip(
-        kinds, starts, sizes, indices, pids
-    ):
-        yield MemoryAccess(
-            AccessKind.LOAD if kind == "l" else AccessKind.STORE,
-            AddressRange.from_base_size(int(start), int(size)),
-            int(index),
-            int(pid),
+    if type(kinds) is not str:
+        raise ProtocolError("events frame kinds must be a string")
+    count = len(kinds)
+    for name, column in zip(_EVENT_COLUMNS, columns):
+        if type(column) is not list:
+            raise ProtocolError(f"events frame {name} must be a list")
+        if len(column) != count:
+            raise ProtocolError("events frame columns disagree on length")
+        if not _INT.issuperset(map(type, column)):
+            raise ProtocolError(f"events frame {name} must hold integers")
+    if kinds.count("l") + kinds.count("s") != count:
+        raise ProtocolError("events frame kinds must each be 'l' or 's'")
+    starts, sizes, indices, pids = columns
+    if not count:
+        return {}
+    if min(starts) < 0:
+        raise ProtocolError("events frame has a negative start")
+    if min(sizes) < 1:
+        raise ProtocolError("events frame has a size below 1")
+    ends = [start + size - 1 for start, size in zip(starts, sizes)]
+    if max(ends) > _INT64_MAX:
+        raise ProtocolError("events frame has an end address beyond int64")
+    for name, column in (("indices", indices), ("pids", pids)):
+        if min(column) < _INT64_MIN or max(column) > _INT64_MAX:
+            raise ProtocolError(f"events frame {name} must fit int64")
+    is_loads = list(map("l".__eq__, kinds))
+    ranges = list(map(AddressRange, starts, ends))
+    first = pids[0]
+    if pids.count(first) == count:
+        return {first: EventColumns(None, is_loads, ranges, indices, pids)}
+    positions: Dict[int, List[int]] = {}
+    for position, pid in enumerate(pids):
+        positions.setdefault(pid, []).append(position)
+    return {
+        pid: EventColumns(
+            None,
+            [is_loads[i] for i in chosen],
+            [ranges[i] for i in chosen],
+            [indices[i] for i in chosen],
+            [pid] * len(chosen),
         )
+        for pid, chosen in positions.items()
+    }
+
+
+def decode_events(frame: dict) -> Iterator[MemoryAccess]:
+    """The events of an ``events`` frame as objects, PID by PID.
+
+    Kept only for the benchmark's traced serve harness
+    (``perfbench/layers.py``), which wraps this name when it starts the
+    daemon; the daemon itself never calls it.  Delete it together with
+    that lookup.
+    """
+    for columns in decode_columns(frame).values():
+        yield from columns.events
 
 
 def frame_range(frame: dict) -> AddressRange:
-    """The ``start``/``size`` pair of a source/check frame as a range."""
+    """The ``start``/``size`` pair of a source/check frame as a range.
+
+    Both must be ``int`` (not ``bool`` or ``float``), the start
+    non-negative, the size at least 1 and the end inside int64; anything
+    else raises :class:`ProtocolError`.
+    """
     try:
-        return AddressRange.from_base_size(
-            int(frame["start"]), int(frame["size"])
-        )
-    except (KeyError, TypeError, ValueError) as error:
+        start, size = frame["start"], frame["size"]
+    except KeyError as error:
         raise ProtocolError(f"frame lacks a valid range: {error}") from error
+    if type(start) is not int or type(size) is not int:
+        raise ProtocolError(
+            f"frame range start/size must be integers, got "
+            f"{start!r}/{size!r}"
+        )
+    try:
+        address_range = AddressRange.from_base_size(start, size)
+    except ValueError as error:
+        raise ProtocolError(f"frame lacks a valid range: {error}") from error
+    _int64(address_range.end, "frame range end")
+    return address_range
+
+
+def frame_pid(frame: dict) -> int:
+    """The ``pid`` of a source/check frame (0 when absent), held to the
+    same rule as an ``events`` frame's ``pids``: an ``int`` in int64."""
+    return _int64(frame.get("pid", 0), "frame pid")
 
 
 def run_to_frames(

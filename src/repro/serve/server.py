@@ -24,7 +24,7 @@ in-line on the same connection, after a blocking drain.
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.serve import protocol
 from repro.serve.router import ShardRouter
@@ -206,12 +206,10 @@ class PIFTServer:
         device = self._require_device(device)
         router = self.router
         touched = []
-        grouped: Dict[int, list] = {}
-        for event in protocol.decode_events(frame):
-            grouped.setdefault(event.pid, []).append(event)
-        for pid, events in grouped.items():
+        # The whole frame is validated before any shard sees a byte of it.
+        for pid, columns in protocol.decode_columns(frame).items():
             shard = await router.shard_for(device, pid)
-            shard.ingest(events)
+            shard.ingest(columns)
             router.notify_ingest(shard)
             touched.append(shard)
         # Real backpressure: while any touched shard sits above its high
@@ -223,9 +221,12 @@ class PIFTServer:
 
     async def _op_source(self, device, frame: dict, writer) -> None:
         device = self._require_device(device)
-        shard = await self.router.shard_for(device, int(frame.get("pid", 0)))
+        address_range = protocol.frame_range(frame)
+        shard = await self.router.shard_for(
+            device, protocol.frame_pid(frame)
+        )
         shard.register_source(
-            protocol.frame_range(frame),
+            address_range,
             colour=(
                 str(frame.get("colour") or frame.get("name") or "")
                 if self.router.coloured else None
@@ -234,9 +235,12 @@ class PIFTServer:
 
     async def _op_check(self, device, frame: dict, writer) -> None:
         device = self._require_device(device)
-        shard = await self.router.shard_for(device, int(frame.get("pid", 0)))
+        address_range = protocol.frame_range(frame)
+        shard = await self.router.shard_for(
+            device, protocol.frame_pid(frame)
+        )
         tainted, colours, degraded = shard.check(
-            protocol.frame_range(frame),
+            address_range,
             immediate=bool(frame.get("immediate", False)),
         )
         verdict = {

@@ -24,12 +24,12 @@ continue the stream with bit-identical verdicts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.buffered import BufferedPIFT
 from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import MemoryAccess
+from repro.core.events import EventColumns
 from repro.core.ranges import AddressRange
 
 #: One shard key: the (device_id, pid) pair the router hashes on.
@@ -99,13 +99,11 @@ class TrackerShard:
             self.buffered.taint_source(address_range, pid=pid)
         self.sources_registered += 1
 
-    def ingest(self, events: Iterable[MemoryAccess]) -> int:
-        """Append a chunk of events to the FIFO; returns the count."""
-        on_event = self.buffered.on_memory_event
-        count = 0
-        for event in events:
-            on_event(event)
-            count += 1
+    def ingest(self, columns: EventColumns) -> int:
+        """Enqueue one decoded chunk of this shard's events; returns the
+        count.  The FIFO keeps the chunk itself (no per-event objects)."""
+        self.buffered.on_columns(columns)
+        count = len(columns)
         self.events_ingested += count
         return count
 

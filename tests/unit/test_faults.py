@@ -281,14 +281,14 @@ class TestOverflowPolicies:
         assert buffered.queue_depth == 16
         assert buffered.degraded
         # The newest events survived.
-        assert [e.instruction_index for e in buffered._queue] == list(range(84, 100))
+        assert [p[3] for p in buffered.snapshot()["queue"]] == list(range(84, 100))
 
     def test_drop_newest_counts_forced_drops(self):
         buffered = self.fill(OverflowPolicy.DROP_NEWEST)
         assert buffered.stats.forced_drops == 100 - 16
         assert buffered.degraded
         # The oldest events survived.
-        assert [e.instruction_index for e in buffered._queue] == list(range(16))
+        assert [p[3] for p in buffered.snapshot()["queue"]] == list(range(16))
 
     def test_spill_loses_nothing(self):
         buffered = self.fill(OverflowPolicy.SPILL)

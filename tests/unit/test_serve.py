@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.analysis.replay import replay
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import OverflowPolicy, PIFTConfig
 from repro.core.events import EventTrace, load, store
@@ -172,6 +173,161 @@ class TestHandshakeAndErrors:
         assert first["op"] == "error" and "unparseable" in first["error"]
         assert second["op"] == "error" and "frobnicate" in second["error"]
         assert third["op"] == "welcome"
+
+
+class TestMalformedEventsFrame:
+    def test_bad_frame_costs_one_error_and_spares_other_devices(
+        self, tmp_path
+    ):
+        """A frame with one bad value is rejected whole: its connection
+        gets exactly one error frame and none of its events reach a
+        shard, while a device streaming at the same time gets verdicts
+        byte-identical to streaming alone."""
+        good_run = make_run(pids=(0, 5), rounds=8)
+        source = AddressRange(0x1000, 0x100F)
+        sink = AddressRange(0x8000, 0x8003)
+        # pid 3 leaks the source to the sink; pid 4's event is malformed.
+        bad = protocol.events_frame([
+            load(0x1000, 0x1003, 1, 3), store(0x8000, 0x8003, 2, 3),
+            load(0x3000, 0x3003, 1, 4),
+        ])
+        bad["starts"][2] = 12288.5
+
+        async def stream_good(path):
+            client = await DeviceClient.connect("good", unix_path=path)
+            verdicts = await client.stream_run(good_run)
+            await client.end()
+            return [protocol.encode_frame(v) for v in verdicts]
+
+        async def stream_bad(path):
+            return await exchange(path, [
+                protocol.hello_frame("bad"),
+                source_frame(source, 3),
+                bad,
+                check_frame(sink, 3),
+                {"op": "end"},
+            ])
+
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                together = await asyncio.gather(
+                    stream_good(daemon.path), stream_bad(daemon.path)
+                )
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                stats = await admin.stats()
+                await admin.close()
+            async with Daemon(tmp_path / "alone") as daemon:
+                alone = await stream_good(daemon.path)
+            return together, alone, stats
+
+        (tmp_path / "alone").mkdir()
+        (good, replies), alone, stats = asyncio.run(scenario())
+        assert [r["op"] for r in replies] == [
+            "welcome", "error", "verdict", "bye"
+        ]
+        assert replies[1]["request"] == "events"
+        # Not one event of the rejected frame was enqueued: pid 3's
+        # store never ran, so the sink is clean.
+        assert replies[2]["tainted"] is False
+        assert stats["events_ingested"] == len(good_run.trace.events)
+        assert good == alone
+        truth = replay(good_run, CONFIG).sink_outcomes
+        assert [
+            protocol.verdict_key(protocol.decode_frame(v)) for v in good
+        ] == [protocol.outcome_key(o) for o in truth]
+
+    @pytest.mark.parametrize("drain_batch", [256, 1024])
+    def test_value_beyond_int64_in_a_large_frame_is_one_error(
+        self, tmp_path, drain_batch
+    ):
+        """A value the kernel's int64 arrays cannot hold, deep inside a
+        frame big enough for the vectorised kernel, is refused at decode
+        with one error frame.  The connection and the shard's drain
+        worker live on: the same frame sent clean is drained (by the
+        worker, when ``drain_batch`` is past the kernel threshold) and
+        its check answered."""
+        source = AddressRange(0x1000, 0x100F)
+        sink = AddressRange(0x8000, 0x8003)
+        leak = []
+        for i in range(550):
+            leak.append(load(0x1000, 0x1003, 3 * i + 1, 3))
+            leak.append(store(0x8000 + 4 * i, 0x8003 + 4 * i, 3 * i + 2, 3))
+        bad = protocol.events_frame(leak)
+        bad["starts"][701] = 2**63
+
+        async def scenario():
+            async with Daemon(tmp_path, drain_batch=drain_batch) as daemon:
+                return await asyncio.wait_for(exchange(daemon.path, [
+                    protocol.hello_frame("dev"),
+                    source_frame(source, 3),
+                    bad,
+                    check_frame(sink, 3),
+                    protocol.events_frame(leak),
+                    check_frame(sink, 3),
+                    {"op": "end"},
+                ]), timeout=60)
+
+        replies = asyncio.run(scenario())
+        assert [r["op"] for r in replies] == [
+            "welcome", "error", "verdict", "verdict", "bye"
+        ]
+        assert replies[1]["request"] == "events"
+        assert "int64" in replies[1]["error"]
+        assert [r["tainted"] for r in replies[2:4]] == [False, True]
+        assert not any(r["degraded"] for r in replies[2:4])
+
+    def test_source_and_check_pids_follow_the_events_rule(self, tmp_path):
+        """A source or check PID that an events frame would refuse
+        (``true``, ``3.7``, ``"3"``) is an error, not a shard."""
+        rng = AddressRange(0x1000, 0x100F)
+
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                replies = await exchange(daemon.path, [
+                    protocol.hello_frame("dev"),
+                    source_frame(rng, True),
+                    check_frame(rng, 3.7),
+                    check_frame(rng, "3"),
+                    check_frame(rng, 3),
+                    {"op": "end"},
+                ])
+                return replies, daemon.router.shards
+
+        replies, shards = asyncio.run(scenario())
+        assert [r["op"] for r in replies] == [
+            "welcome", "error", "error", "error", "verdict", "bye"
+        ]
+        assert list(shards) == [("dev", 3)]
+
+
+def source_frame(address_range, pid):
+    return {"op": "source", "start": address_range.start,
+            "size": address_range.size, "index": 0, "name": "imei",
+            "pid": pid}
+
+
+def check_frame(address_range, pid):
+    return {"op": "check", "start": address_range.start,
+            "size": address_range.size, "index": 3, "sink": "net",
+            "channel": "net", "pid": pid}
+
+
+async def exchange(path, frames):
+    """Send raw frames on one connection; return every reply to EOF."""
+    reader, writer = await open_connection(unix_path=path)
+    for frame in frames:
+        writer.write(protocol.encode_frame(frame))
+        await writer.drain()
+        await asyncio.sleep(0)  # let other devices interleave
+    replies = []
+    while True:
+        line = await reader.readline()
+        if not line:
+            break
+        replies.append(protocol.decode_frame(line))
+    writer.close()
+    await writer.wait_closed()
+    return replies
 
 
 class TestStreamAndQuery:

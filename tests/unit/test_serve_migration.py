@@ -10,12 +10,14 @@ execution-strategy hysteresis (``_dense_churn_streak``) deliberately
 does *not* travel.
 """
 
+import json
+
 import pytest
 
 from repro.core.buffered import BufferedPIFT
 from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import load, store
+from repro.core.events import EventColumns, load, store
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker
 from repro.serve.shard import ShardError, TrackerShard
@@ -204,7 +206,7 @@ class TestShardSnapshotValidation:
     def test_round_trip_increments_restores(self):
         shard = self.make_shard()
         shard.register_source(SRC)
-        shard.ingest(leaky_events(rounds=2))
+        shard.ingest(EventColumns.from_events(leaky_events(rounds=2)))
         snapshot = shard.snapshot()
         heir = self.make_shard()
         heir.restore(snapshot)
@@ -233,13 +235,87 @@ class TestShardSnapshotValidation:
         donor = self.make_shard(coloured=True)
         donor.register_source(SRC, colour="imei")
         events = leaky_events(rounds=6)
-        donor.ingest(events[:5])
+        donor.ingest(EventColumns.from_events(events[:5]))
         heir = self.make_shard(coloured=True)
         heir.restore(donor.snapshot())
-        heir.ingest(events[5:])
+        heir.ingest(EventColumns.from_events(events[5:]))
 
         reference = self.make_shard(coloured=True)
         reference.register_source(SRC, colour="imei")
-        reference.ingest(events)
+        reference.ingest(EventColumns.from_events(events))
         assert heir.check(DST) == reference.check(DST)
         assert heir.check(DST)[1] == ["imei"]
+
+
+class TestColumnChunkMigration:
+    """A shard fed a decoded 512-event chunk migrates exactly like one
+    fed the same events one at a time."""
+
+    def events(self, count=512):
+        """Source loads, sink stores and unrelated traffic, one PID."""
+        events = []
+        for i in range(count):
+            index = 2 * i + 1
+            if i % 7 == 0:
+                events.append(load(0x1000 + i % 16, 0x1000 + i % 16, index))
+            elif i % 7 == 1:
+                base = 0x8000 + 4 * (i % 64)
+                events.append(store(base, base + 3, index))
+            elif i % 2:
+                events.append(load(0x20000 + i, 0x20003 + i, index))
+            else:
+                events.append(store(0x30000 + i, 0x30003 + i, index))
+        return events
+
+    def feed(self, chunked, coloured):
+        shard = TrackerShard(("dev", 0), CONFIG, coloured=coloured)
+        shard.register_source(SRC, colour="imei" if coloured else None)
+        events = self.events()
+        if chunked:
+            decoded = EventColumns.from_events(events)
+            # Wire-decoded columns carry no event objects.
+            shard.ingest(EventColumns(None, decoded.is_loads, decoded.ranges,
+                                      decoded.indices, decoded.pids))
+        else:
+            for event in events:
+                shard.ingest(EventColumns.from_events([event]))
+        assert shard.drain(200) == 200  # the chunk is now partly drained
+        assert shard.queue_depth == 312
+        return shard
+
+    def verdicts(self, shard):
+        tail = [
+            load(0x1000, 0x1003, 1100),
+            store(0x9000, 0x9003, 1101),
+            store(0x8000, 0x8003, 1102),
+        ]
+        shard.ingest(EventColumns.from_events(tail))
+        answers = [
+            shard.check(AddressRange(0x8000 + 4 * k, 0x8003 + 4 * k))
+            for k in range(64)
+        ]
+        answers += [shard.check(AddressRange(0x9000, 0x9003)),
+                    shard.check(CLEAN)]
+        return json.dumps(answers).encode()
+
+    @pytest.mark.parametrize("coloured", [False, True],
+                             ids=["plain", "coloured"])
+    def test_partly_drained_chunk_migrates_like_per_event_feed(
+        self, coloured
+    ):
+        chunked = self.feed(chunked=True, coloured=coloured)
+        per_event = self.feed(chunked=False, coloured=coloured)
+        snapshot = chunked.snapshot()
+        assert json.dumps(snapshot, sort_keys=True) == json.dumps(
+            per_event.snapshot(), sort_keys=True
+        )
+        heirs = []
+        for donor in (chunked, per_event):
+            heir = TrackerShard(("dev", 0), CONFIG, coloured=coloured)
+            heir.restore(json.loads(json.dumps(donor.snapshot())))
+            assert heir.queue_depth == 312
+            heirs.append(heir)
+        expected = self.verdicts(per_event)
+        assert self.verdicts(chunked) == expected
+        assert [self.verdicts(heir) for heir in heirs] == [expected] * 2
+        assert b"true" in expected and b"false" in expected

@@ -86,19 +86,152 @@ class TestFrames:
             protocol.decode_frame(b'{"no_op":1}\n')
 
     def test_events_frame_round_trip(self):
-        events = [load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7)]
-        decoded = list(protocol.decode_events(protocol.events_frame(events)))
-        assert decoded == events
+        events = [
+            load(0x10, 0x13, 1, 0), store(0x20, 0x23, 2, 7),
+            store(0x30, 0x30, 3, 0),
+        ]
+        decoded = protocol.decode_columns(protocol.events_frame(events))
+        # One chunk per PID, in first-appearance order, frame order within.
+        assert list(decoded) == [0, 7]
+        assert decoded[0].events == [events[0], events[2]]
+        assert decoded[7].events == [events[1]]
+        assert decoded[0].is_loads == [True, False]
+        assert decoded[0].indices == [1, 3]
+        assert decoded[0].pids == [0, 0]
+        assert decoded[0].ranges == [e.address_range for e in (events[0],
+                                                               events[2])]
+
+    def test_empty_events_frame_decodes_to_nothing(self):
+        assert protocol.decode_columns(protocol.events_frame([])) == {}
 
     def test_events_frame_length_mismatch_rejected(self):
         frame = protocol.events_frame([load(0x10, 0x13, 1, 0)])
         frame["pids"] = []
         with pytest.raises(protocol.ProtocolError, match="length"):
-            list(protocol.decode_events(frame))
+            protocol.decode_columns(frame)
 
     def test_frame_range_rejects_missing_fields(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.frame_range({"op": "check"})
+
+
+def good_events_frame():
+    return protocol.events_frame([
+        load(0x1000, 0x1003, 1, 3), store(0x2000, 0x2003, 2, 3),
+        load(0x3000, 0x3007, 5, 4),
+    ])
+
+
+class TestMalformedFramesRejected:
+    """Wrongly typed or out-of-range values fail loudly; nothing is
+    truncated or coerced (a float start, a ``true`` index, a string PID
+    or an unknown kind character used to be read as something else)."""
+
+    @pytest.mark.parametrize("column, position, value", [
+        ("starts", 0, 4096.7),   # would truncate to 4096
+        ("starts", 2, 4096.0),   # an integral float is still a float
+        ("sizes", 1, 4.9),       # would truncate to 4
+        ("indices", 0, True),    # would read as 1
+        ("indices", 2, None),
+        ("pids", 1, "3"),        # would read as pid 3
+        ("pids", 2, False),
+        ("starts", 1, -1),       # no negative addresses
+        ("sizes", 0, 0),         # a range covers at least one byte
+        ("sizes", 2, -4),
+        # Everything must fit the int64 arrays of the vectorised kernel.
+        ("starts", 0, 2**63),
+        ("starts", 0, 2**63 - 2),  # size 4: the end passes int64
+        ("sizes", 1, 2**64),
+        ("indices", 1, 2**63),
+        ("indices", 1, -2**63 - 1),
+        ("pids", 0, 2**63),
+        ("pids", 2, -2**63 - 1),
+    ])
+    def test_bad_column_value(self, column, position, value):
+        frame = good_events_frame()
+        frame[column][position] = value
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_columns(frame)
+
+    @pytest.mark.parametrize("kinds", ["lxl", "lsS", "l s", "ll"])
+    def test_bad_kinds(self, kinds):
+        frame = good_events_frame()
+        frame["kinds"] = kinds  # "x" used to read as a store
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_columns(frame)
+
+    @pytest.mark.parametrize("column, value", [
+        ("starts", "4096"),
+        ("starts", {"0": 4096}),
+        ("pids", 3),
+        ("indices", None),
+        ("kinds", ["l", "s", "l"]),
+    ])
+    def test_column_of_the_wrong_type(self, column, value):
+        frame = good_events_frame()
+        frame[column] = value
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_columns(frame)
+
+    @pytest.mark.parametrize("column", ["kinds", "starts", "sizes",
+                                        "indices", "pids"])
+    def test_missing_column(self, column):
+        frame = good_events_frame()
+        del frame[column]
+        with pytest.raises(protocol.ProtocolError, match="missing"):
+            protocol.decode_columns(frame)
+
+    def test_int64_extremes_are_accepted(self):
+        frame = good_events_frame()
+        frame["starts"][0] = 2**63 - 4  # size 4: end is the int64 maximum
+        frame["indices"][1] = 2**63 - 1
+        frame["pids"][2] = -2**63
+        decoded = protocol.decode_columns(frame)
+        assert decoded[3].ranges[0] == AddressRange(2**63 - 4, 2**63 - 1)
+        for columns in decoded.values():
+            columns.arrays()  # fits the kernel's int64 arrays
+
+    def test_bad_value_in_a_later_pid_rejects_the_whole_frame(self):
+        frame = good_events_frame()
+        frame["sizes"][2] = 2.5  # pid 4's event; pid 3's are fine
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_columns(frame)
+
+    @pytest.mark.parametrize("start, size", [
+        (4096.9, 2.5),   # used to become [0x1000, 0x1001]
+        (4096, 2.0),
+        (True, 4),
+        (4096, False),
+        ("4096", 4),
+        (None, 4),
+        (-1, 4),
+        (4096, 0),
+        (2**63, 1),
+        (2**63 - 2, 4),  # the end passes int64
+    ])
+    def test_frame_range_rejects_bad_values(self, start, size):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.frame_range({"op": "check", "start": start,
+                                  "size": size})
+
+    def test_frame_range_accepts_ints(self):
+        assert protocol.frame_range({"start": 4096, "size": 2}) == (
+            AddressRange(0x1000, 0x1001))
+        assert protocol.frame_range({"start": 2**63 - 1, "size": 1}) == (
+            AddressRange(2**63 - 1, 2**63 - 1))
+
+    @pytest.mark.parametrize("pid", [True, 3.0, 3.7, "3", None, 2**63])
+    def test_frame_pid_rejects_what_an_events_frame_would(self, pid):
+        frame = good_events_frame()
+        frame["pids"][0] = pid
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode_columns(frame)
+        with pytest.raises(protocol.ProtocolError):
+            protocol.frame_pid({"op": "check", "pid": pid})
+
+    def test_frame_pid_accepts_ints(self):
+        assert protocol.frame_pid({"op": "check"}) == 0
+        assert protocol.frame_pid({"op": "check", "pid": 7}) == 7
 
 
 class TestRunToFrames:
@@ -108,12 +241,24 @@ class TestRunToFrames:
         frames = list(protocol.run_to_frames(recorded, chunk=4))
 
         # Reconstruct the three streams and check each is complete and
-        # in recorded order.
-        events = [
-            e for f in frames if f["op"] == "events"
-            for e in protocol.decode_events(f)
-        ]
-        assert events == recorded.trace.events
+        # in recorded order: the raw columns in global order, and the
+        # decoded chunks per PID (the unit a shard tracks).
+        event_frames = [f for f in frames if f["op"] == "events"]
+        events = recorded.trace.events
+        expected = protocol.events_frame(events)
+        assert "".join(f["kinds"] for f in event_frames) == (
+            expected["kinds"])
+        for column in ("starts", "sizes", "indices", "pids"):
+            assert [v for f in event_frames for v in f[column]] == (
+                expected[column])
+        per_pid = {}
+        for f in event_frames:
+            for pid, columns in protocol.decode_columns(f).items():
+                per_pid.setdefault(pid, []).extend(columns.events)
+        assert per_pid == {
+            pid: [e for e in events if e.pid == pid]
+            for pid in sorted({e.pid for e in events})
+        }
         names = [f["name"] for f in frames if f["op"] == "source"]
         assert names == [s.source_name for s in plan.sources]
         sinks = [f["sink"] for f in frames if f["op"] == "check"]
