@@ -22,7 +22,7 @@ Runnable two ways:
 * under pytest-benchmark (tier-2): ``pytest benchmarks/bench_dense_replay.py``
 * standalone: ``PYTHONPATH=src python benchmarks/bench_dense_replay.py
   [--smoke] [--json BENCH_dense.json] [--history BENCH_history.jsonl]
-  [--gate]`` — the CI dense-smoke job runs ``--smoke --gate``.  The gate
+  [--gate]`` — the CI executor-smoke job runs ``--smoke --gate``.  The gate
   compares the *dimensionless* dense speedup ratio against the history
   median, so it is robust to CI machines of different speeds.
 """

@@ -28,7 +28,7 @@ Runnable two ways:
   ``pytest benchmarks/bench_label_overhead.py``
 * standalone: ``PYTHONPATH=src python benchmarks/bench_label_overhead.py
   [--smoke] [--json BENCH_labels.json] [--history BENCH_history.jsonl]
-  [--gate]`` — the CI colour-parity-smoke job runs ``--smoke --gate``.
+  [--gate]`` — the CI executor-smoke job runs ``--smoke --gate``.
   The gated metric is a dimensionless ratio of two runs on the same
   machine, so it is robust to CI hosts of different speeds.
 """

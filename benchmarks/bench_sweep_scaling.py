@@ -240,7 +240,7 @@ def test_batch_replay_beats_per_event(benchmark, suite_runs):
         total = 0
         for encoded in columns:
             tracker = PIFTTracker(config)
-            tracker.observe_batch(encoded)
+            tracker.run(encoded)
             total += tracker.stats.instructions_observed
         return total
 

@@ -183,6 +183,52 @@ def replay_with_provenance(
     return outcomes
 
 
+def _replay_segments(tracker, recorded: RecordedRun, plan: ReplayPlan,
+                     register, verdict) -> List[SinkOutcome]:
+    """The plan-segment loop shared by :func:`replay` and
+    :func:`replay_coloured`.
+
+    Feeds each event segment between drain boundaries through
+    ``tracker.observe_columns`` and, at each boundary, hands the due
+    source registrations to ``register(source)`` and the due sink checks
+    to ``verdict(check)``, which answers ``(tainted, colours)``.
+    """
+    sources = plan.sources
+    checks = plan.checks
+    outcomes: List[SinkOutcome] = []
+    source_i = check_i = 0
+
+    def drain(sources_due: int, checks_due: int) -> None:
+        nonlocal source_i, check_i
+        for source in sources[source_i:source_i + sources_due]:
+            register(source)
+        source_i += sources_due
+        for check in checks[check_i:check_i + checks_due]:
+            tainted, colours = verdict(check)
+            outcomes.append(
+                SinkOutcome(
+                    sink_name=check.sink_name,
+                    channel=check.channel,
+                    instruction_index=check.instruction_index,
+                    tainted=tainted,
+                    pid=check.pid,
+                    colours=colours,
+                )
+            )
+        check_i += checks_due
+
+    columns = recorded.trace.columns()
+    position = 0
+    for boundary, sources_due, checks_due in plan.boundaries:
+        if boundary > position:
+            tracker.observe_columns(columns, position, boundary)
+            position = boundary
+        drain(sources_due, checks_due)
+    tracker.observe_columns(columns, position, len(columns))
+    drain(plan.final_sources, plan.final_checks)
+    return outcomes
+
+
 def replay(
     recorded: RecordedRun,
     config: PIFTConfig,
@@ -203,42 +249,17 @@ def replay(
         record_timeline=record_timeline,
         telemetry=telemetry,
     )
-    result = ReplayResult(config=config, stats=tracker.stats)
-    plan = replay_plan_for(recorded)
-    sources = plan.sources
-    checks = plan.checks
-    taint_source = tracker.taint_source
-    check_taint = tracker.check
-    outcomes = result.sink_outcomes
-    source_i = check_i = 0
-
-    def drain(sources_due: int, checks_due: int) -> None:
-        nonlocal source_i, check_i
-        for source in sources[source_i:source_i + sources_due]:
-            taint_source(source.address_range, pid=source.pid)
-        source_i += sources_due
-        for check in checks[check_i:check_i + checks_due]:
-            outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=check_taint(check.address_range, pid=check.pid),
-                    pid=check.pid,
-                )
-            )
-        check_i += checks_due
-
-    columns = recorded.trace.columns()
-    position = 0
-    for boundary, sources_due, checks_due in plan.boundaries:
-        if boundary > position:
-            tracker.observe_columns(columns, position, boundary)
-            position = boundary
-        drain(sources_due, checks_due)
-    tracker.observe_columns(columns, position, len(columns))
-    drain(plan.final_sources, plan.final_checks)
-    return result
+    outcomes = _replay_segments(
+        tracker, recorded, replay_plan_for(recorded),
+        register=lambda source: tracker.taint_source(
+            source.address_range, pid=source.pid
+        ),
+        verdict=lambda check: (
+            tracker.check(check.address_range, pid=check.pid), ()
+        ),
+    )
+    return ReplayResult(config=config, stats=tracker.stats,
+                        sink_outcomes=outcomes)
 
 
 def source_colour(source) -> str:
@@ -265,48 +286,19 @@ def replay_coloured(
     mask assignment — and therefore attribution tuples — deterministic.
     """
     tracker = ColourTracker(config, record_timeline=record_timeline)
-    result = ReplayResult(config=config, stats=tracker.stats)
     plan = replay_plan_for(recorded)
-    sources = plan.sources
-    checks = plan.checks
-    for source in sources:
+    for source in plan.sources:
         tracker.colours.register(source_colour(source))
-    taint_source = tracker.taint_source
-    check_mask = tracker.check_mask
-    names_for = tracker.colours.names_for
-    outcomes = result.sink_outcomes
-    source_i = check_i = 0
 
-    def drain(sources_due: int, checks_due: int) -> None:
-        nonlocal source_i, check_i
-        for source in sources[source_i:source_i + sources_due]:
-            taint_source(
-                source.address_range,
-                pid=source.pid,
-                colour=source_colour(source),
-            )
-        source_i += sources_due
-        for check in checks[check_i:check_i + checks_due]:
-            mask = check_mask(check.address_range, pid=check.pid)
-            outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=bool(mask),
-                    pid=check.pid,
-                    colours=names_for(mask),
-                )
-            )
-        check_i += checks_due
+    def register(source) -> None:
+        tracker.taint_source(
+            source.address_range, pid=source.pid, colour=source_colour(source)
+        )
 
-    columns = recorded.trace.columns()
-    position = 0
-    for boundary, sources_due, checks_due in plan.boundaries:
-        if boundary > position:
-            tracker.observe_columns(columns, position, boundary)
-            position = boundary
-        drain(sources_due, checks_due)
-    tracker.observe_columns(columns, position, len(columns))
-    drain(plan.final_sources, plan.final_checks)
-    return result
+    def verdict(check) -> Tuple[bool, Tuple[str, ...]]:
+        mask = tracker.check_mask(check.address_range, pid=check.pid)
+        return bool(mask), tracker.colours.names_for(mask)
+
+    outcomes = _replay_segments(tracker, recorded, plan, register, verdict)
+    return ReplayResult(config=config, stats=tracker.stats,
+                        sink_outcomes=outcomes)

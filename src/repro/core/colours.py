@@ -296,45 +296,6 @@ class ColourRangeSet:
         self._total += added
         self._version += 1
 
-    def add_many(
-        self, items: List[Tuple[int, int]], mask: int
-    ) -> Optional[Tuple[int, int]]:
-        """Taint every ``(start, end)`` pair with one shared ``mask``.
-
-        Content-equivalent to :meth:`add` per pair; returns the extent
-        ``(lo, hi)`` — the smallest span covering every stored range the
-        batch touched — with the same contract as
-        :meth:`repro.core.ranges.RangeSet.add_many`: outside the extent
-        both coverage *and masks* are unchanged (equal-mask-only boundary
-        coalescing never rewrites a neighbour's mask)."""
-        extent, _ = self.add_many_steps(items, mask)
-        return extent
-
-    def add_many_steps(
-        self, items: List[Tuple[int, int]], mask: int
-    ) -> Tuple[Optional[Tuple[int, int]], List[Tuple[int, int]]]:
-        """:meth:`add_many` plus per-step ``(total_after, count_after)``.
-
-        Unlike the plain :class:`~repro.core.ranges.RangeSet`, where an
-        add raises the range count by at most one, a coloured add that
-        spans ``k`` gapped differently-masked ranges can raise it by
-        ``k + 1`` (splits at every colour boundary) — no static per-add
-        budget bounds the intermediate counts.  Callers that maintain
-        the non-monotone ``max_range_count`` high-water mark therefore
-        need the count after *every* add, same as
-        :meth:`remove_many` reports for removes."""
-        steps: List[Tuple[int, int]] = []
-        if not items:
-            return None, steps
-        for start, end in items:
-            self.add(AddressRange(start, end), mask)
-            steps.append((self._total, len(self._starts)))
-        hull_lo = min(s for s, _ in items)
-        hull_hi = max(e for _, e in items)
-        i0 = bisect.bisect_left(self._ends, hull_lo)
-        i1 = bisect.bisect_right(self._starts, hull_hi) - 1
-        return (self._starts[i0], self._ends[i1]), steps
-
     def remove(self, item: AddressRange) -> None:
         """Untaint ``item`` wholesale — every colour at once.  Straddling
         intervals split; the remnants keep their original masks."""

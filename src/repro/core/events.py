@@ -90,7 +90,7 @@ class ColumnArrays:
         Returns the smallest ``j`` in ``(lo, hi]`` such that every event
         in ``[lo, j)`` shares ``pids[lo]``'s PID and either ``j == hi``
         or ``pids[j]`` differs.  The dense executor segments the event
-        stream into these runs so window evolution and bulk range-set
+        stream into these runs so window evolution and range-set
         commits stay per-process, matching the scalar loop's per-PID
         state exactly.
         """

@@ -12,7 +12,7 @@ registers source ranges, queries sink ranges, and sets ``NI``/``NT``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Union
 
 from repro.core.config import PIFTConfig
@@ -122,13 +122,19 @@ class PIFTHardwareModule:
             tainted = self._tracker.check(request.address_range, pid=request.pid)
             return CommandResponse(ok=True, tainted=tainted)
         if request.command is Command.CONFIGURE:
-            window = request.window_size or self._tracker.config.window_size
-            cap = request.max_propagations or self._tracker.config.max_propagations
-            self._tracker.config = PIFTConfig(
-                window_size=window,
-                max_propagations=cap,
-                untainting=self._tracker.config.untainting,
-            )
+            # Only the fields the request sets change; every other field
+            # (untainting, vectorized) keeps its value.  A value the
+            # config rejects leaves it unchanged.
+            changes = {}
+            if request.window_size is not None:
+                changes["window_size"] = request.window_size
+            if request.max_propagations is not None:
+                changes["max_propagations"] = request.max_propagations
+            try:
+                config = replace(self._tracker.config, **changes)
+            except ValueError:
+                return CommandResponse(ok=False)
+            self._tracker.config = config
             return CommandResponse(ok=True)
         return CommandResponse(ok=False)
 

@@ -133,7 +133,7 @@ class ColourProvenance:
         self.tracker.observe(event)
 
     def run(self, events: Iterable[MemoryAccess]) -> None:
-        self.tracker.observe_batch(events)
+        self.tracker.run(events)
 
     def check(
         self, address_range: AddressRange, pid: int = 0, sink_name: str = ""

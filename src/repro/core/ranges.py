@@ -175,6 +175,10 @@ class RangeSet:
         """The per-load taint lookup: does any stored range overlap ``query``?"""
         return self._candidate_index(query) is not None
 
+    #: The tracker's window-opening lookup: a single-bit state's only
+    #: colour is "tainted", so a hit is ``True == 1``.
+    mask_overlapping = overlaps
+
     def overlapping(self, query: AddressRange) -> List[AddressRange]:
         """All stored ranges that overlap ``query`` (for sink diagnostics)."""
         result: List[AddressRange] = []
@@ -231,8 +235,12 @@ class RangeSet:
 
     # -- mutations -------------------------------------------------------
 
-    def add(self, item: AddressRange) -> None:
-        """Taint ``item``, merging with overlapping/adjacent stored ranges."""
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        """Taint ``item``, merging with overlapping/adjacent stored ranges.
+
+        ``mask`` is the tracker's window colour; a single-bit set has no
+        colours to keep, so it is accepted and ignored.
+        """
         start, end = item.start, item.end
         # Find the window of stored ranges that the new range touches
         # (overlap or adjacency), then replace them with one merged range.
@@ -248,59 +256,6 @@ class RangeSet:
         self._ends[lo:hi] = [end]
         self._total += end - start + 1 - absorbed
         self._version += 1
-
-    def add_many(self, items: List[Tuple[int, int]]) -> Optional[Tuple[int, int]]:
-        """Taint every ``(start, end)`` pair in one sorted-merge pass.
-
-        Content-equivalent to calling :meth:`add` once per pair, in any
-        order, but the merge is a single sorted-array operation over the
-        numpy mirror (concatenate, sort by start, coalesce on a running
-        ``maximum.accumulate`` of the ends) committed back through the
-        version counter — the mirror is written back directly, so the
-        next :meth:`as_arrays` call pays no rebuild.
-
-        Returns the *extent* ``(lo, hi)``: the smallest address span
-        covering every stored range the batch touched (callers use it to
-        patch cached overlap masks — anything outside the extent kept
-        its coverage).  Returns ``None`` for an empty batch.
-
-        Parity note: per-step totals are **not** reported.  Callers that
-        need per-mutation high-water bookkeeping (timeline points, the
-        non-monotone ``max_range_count``) must fall back to sequential
-        :meth:`add` calls when intermediate counts could be observable.
-        """
-        if not items:
-            return None
-        import numpy
-
-        new_starts = numpy.fromiter(
-            (s for s, _ in items), numpy.int64, len(items)
-        )
-        new_ends = numpy.fromiter(
-            (e for _, e in items), numpy.int64, len(items)
-        )
-        cur_starts, cur_ends = self.as_arrays()
-        all_starts = numpy.concatenate([cur_starts, new_starts])
-        all_ends = numpy.concatenate([cur_ends, new_ends])
-        order = numpy.argsort(all_starts, kind="stable")
-        sorted_starts = all_starts[order]
-        run_ends = numpy.maximum.accumulate(all_ends[order])
-        # A new coalesced range begins wherever the next start clears the
-        # running end by more than adjacency (gap >= 1 uncovered byte).
-        breaks = numpy.flatnonzero(sorted_starts[1:] > run_ends[:-1] + 1) + 1
-        first = numpy.concatenate([[0], breaks])
-        merged_starts = sorted_starts[first]
-        merged_ends = numpy.concatenate([run_ends[breaks - 1], run_ends[-1:]])
-        self._starts = merged_starts.tolist()
-        self._ends = merged_ends.tolist()
-        self._total = int((merged_ends - merged_starts + 1).sum())
-        self._version += 1
-        self._np_mirror = (self._version, merged_starts, merged_ends)
-        hull_lo = int(new_starts.min())
-        hull_hi = int(new_ends.max())
-        i0 = int(numpy.searchsorted(merged_ends, hull_lo, side="left"))
-        i1 = int(numpy.searchsorted(merged_starts, hull_hi, side="right")) - 1
-        return (int(merged_starts[i0]), int(merged_ends[i1]))
 
     def remove_many(
         self, items: List[Tuple[int, int]]

@@ -126,7 +126,11 @@ class BoundedRangeCache:
             return True
         return False
 
-    def add(self, item: AddressRange) -> None:
+    #: Single-bit storage: a hit opens the tracker's window with mask 1.
+    mask_overlapping = overlaps
+
+    def add(self, item: AddressRange, mask: int = 1) -> None:
+        """Taint ``item``; ``mask`` (the window colour) is ignored."""
         item = self._quantize_out(item)
         # The new range may also subsume spilled state; fold it back in so
         # on-chip and secondary views never disagree about the same bytes.

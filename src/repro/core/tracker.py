@@ -35,18 +35,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 _VECTORIZED_MIN_EVENTS = 512
 
 #: Any object with the RangeSet mutation/query surface can back the tracker —
-#: the software-reference ``RangeSet`` or a hardware model from
-#: :mod:`repro.core.taint_storage`.
+#: the software-reference ``RangeSet``, the coloured ``ColourRangeSet``, or a
+#: hardware model from :mod:`repro.core.taint_storage`.
 StateFactory = Callable[[], "TaintStateLike"]
+
+#: Taint states the numpy kernel can drive: the unbounded interval sets,
+#: whose queries have no side effects and which keep numpy mirrors.
+_KERNEL_STATES = (RangeSet, ColourRangeSet)
 
 
 class TaintStateLike:
-    """Structural interface the tracker requires of its taint state."""
+    """Structural interface the tracker requires of its taint state.
+
+    Algorithm 1 runs once, carrying a colour mask: a load opens a window
+    with ``mask_overlapping``'s result when it is non-zero, and in-window
+    stores ``add`` their target with that window mask.  Single-bit states
+    bind ``mask_overlapping = overlaps`` (a hit is ``True == 1``) and
+    accept ``add``'s mask without using it.
+    """
 
     def overlaps(self, query: AddressRange) -> bool:  # pragma: no cover
         raise NotImplementedError
 
-    def add(self, item: AddressRange) -> None:  # pragma: no cover
+    def mask_overlapping(self, query: AddressRange) -> int:  # pragma: no cover
+        raise NotImplementedError
+
+    def add(self, item: AddressRange, mask: int = 1) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def remove(self, item: AddressRange) -> None:  # pragma: no cover
@@ -168,8 +182,8 @@ class _WindowState:
     #: the currently live window?  Never touched when telemetry is off.
     telemetry_open: bool = False
     #: Colour mask carried by the live window (the OR of the masks of
-    #: every tainted range the window-opening load overlapped).  Only the
-    #: coloured tracker reads or writes it; the plain tracker leaves it 0.
+    #: every tainted range the window-opening load overlapped).  Single-bit
+    #: states report a hit as ``True`` and ignore the mask on ``add``.
     colour_mask: int = 0
 
 
@@ -238,12 +252,6 @@ class PIFTTracker:
             When active, per-event counters, taint-state gauges, and
             per-mutation JSONL events are recorded.
     """
-
-    #: Execution-strategy discriminator read by the vectorised kernel:
-    #: :class:`ColourTracker` flips it so the dense executor runs the
-    #: mask-carrying variant.  A class attribute, not config — colour
-    #: support changes the state representation, not the parameters.
-    _coloured = False
 
     def __init__(
         self,
@@ -390,7 +398,9 @@ class PIFTTracker:
         """Process one memory event per Algorithm 1.
 
         The event's ``instruction_index`` is the per-process instruction
-        sequence number *k*; it must be non-decreasing per PID.
+        sequence number *k*; it must be non-decreasing per PID.  The
+        window carries the colour mask of its opening load, and in-window
+        stores taint with it (see :class:`TaintStateLike`).
         """
         state = self.state(event.pid)
         window = self._windows[event.pid]
@@ -401,10 +411,12 @@ class PIFTTracker:
 
         if event.is_load:
             self.stats.loads_observed += 1
-            if state.overlaps(event.address_range):
+            mask = state.mask_overlapping(event.address_range)
+            if mask:
                 # Tainted load: start (or restart) the tainting window.
                 window.last_tainted_load = k
                 window.propagations = 0
+                window.colour_mask = mask
                 self.stats.tainted_loads += 1
         else:
             self.stats.stores_observed += 1
@@ -418,7 +430,7 @@ class PIFTTracker:
                 and k <= window.last_tainted_load + self.config.window_size
             )
             if in_window and window.propagations < self.config.max_propagations:
-                state.add(event.address_range)
+                state.add(event.address_range, window.colour_mask)
                 window.propagations += 1
                 self.stats.taint_operations += 1
                 self._after_mutation(event.pid, k)
@@ -429,32 +441,14 @@ class PIFTTracker:
                     self._after_mutation(event.pid, k)
 
     def run(self, events: Iterable[MemoryAccess]) -> TrackerStats:
-        """Feed a whole event stream through the batch fast path."""
-        self.observe_batch(events)
-        return self.stats
+        """Feed a whole event stream through :meth:`observe_columns`.
 
-    # -- batch fast path --------------------------------------------------
-
-    def observe_batch(self, events: Iterable[MemoryAccess]) -> None:
-        """Process a whole event run with per-event overhead hoisted out.
-
-        Semantically identical to calling :meth:`observe` per event
-        (parity-tested, ``tests/property/test_batch_parity.py``), but the
-        attribute lookups, per-PID dict probes, and window-bound reads are
-        lifted out of the loop, which makes replay-heavy ``(NI, NT)``
-        sweeps measurably faster.  With a live telemetry hub attached the
-        per-event instrumented path is used instead, so event streams and
-        counters stay exact.
+        ``events`` may be an :class:`EventTrace` (its cached column
+        encoding is reused), pre-encoded :class:`EventColumns`, or any
+        iterable of :class:`MemoryAccess`.  Semantically identical to
+        calling :meth:`observe` per event (parity-tested,
+        ``tests/property/test_batch_parity.py``).
         """
-        if "observe" in self.__dict__:
-            # Telemetry (or another shadow) is bound over observe; the
-            # batch loop would bypass it.  Fall back to per-event calls.
-            observe = self.observe
-            if isinstance(events, EventColumns):
-                events = events.events
-            for event in events:
-                observe(event)
-            return
         if isinstance(events, EventTrace):
             columns = events.columns()
         elif isinstance(events, EventColumns):
@@ -462,6 +456,9 @@ class PIFTTracker:
         else:
             columns = EventColumns.from_events(events)
         self.observe_columns(columns)
+        return self.stats
+
+    # -- batch fast path --------------------------------------------------
 
     def observe_columns(
         self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
@@ -475,8 +472,9 @@ class PIFTTracker:
           back to per-event calls so instrumentation stays exact;
         * the vectorised pre-filter kernel (:mod:`repro.core.vectorized`)
           when ``config.vectorized`` is on, the slice is long enough to
-          amortise the numpy setup, and the taint backend is the
-          unbounded :class:`~repro.core.ranges.RangeSet` (bounded
+          amortise the numpy setup, and the taint backend is an
+          unbounded interval set (:class:`~repro.core.ranges.RangeSet`
+          or :class:`~repro.core.colours.ColourRangeSet`; bounded
           hardware models mutate on queries/eviction, so skipping their
           calls would change behaviour);
         * the scalar loop (:meth:`observe_columns_scalar`) otherwise.
@@ -491,7 +489,7 @@ class PIFTTracker:
         if (
             self.config.vectorized
             and stop - start >= _VECTORIZED_MIN_EVENTS
-            and self._state_factory is RangeSet
+            and self._state_factory in _KERNEL_STATES
             and vectorized.HAVE_NUMPY
         ):
             vectorized.observe_columns(self, columns, start, stop)
@@ -504,7 +502,8 @@ class PIFTTracker:
         """Force the numpy pre-filter kernel regardless of slice length.
 
         Differential-test / benchmark hook; requires numpy and
-        :class:`~repro.core.ranges.RangeSet`-backed taint states.
+        :class:`~repro.core.ranges.RangeSet`- or
+        :class:`~repro.core.colours.ColourRangeSet`-backed taint states.
         """
         if stop is None:
             stop = len(columns)
@@ -517,8 +516,10 @@ class PIFTTracker:
 
         One Python frame for the whole slice, locals for the config
         bounds and stats counters, and taint-state methods re-bound only
-        on PID switches.  Mutation bookkeeping (high-water marks,
-        optional timeline) matches :meth:`_after_mutation` exactly.  The
+        on PID switches.  Per event it makes exactly the state calls
+        :meth:`observe` makes (bounded storage models count and reorder
+        on lookups).  Mutation bookkeeping (high-water marks, optional
+        timeline) matches :meth:`_after_mutation` exactly.  The
         vectorised kernel drops into this loop around relevant events.
         """
         if "observe" in self.__dict__:
@@ -551,7 +552,7 @@ class PIFTTracker:
         max_ranges = stats.max_range_count
         current_pid: Optional[int] = None
         window: _WindowState = None  # type: ignore[assignment]
-        overlaps = add = remove = None
+        mask_overlapping = overlaps = add = remove = None
         try:
             for i in range(start, stop):
                 pid = pids[i]
@@ -561,6 +562,7 @@ class PIFTTracker:
                         state = states[pid] = self._state_factory()
                         windows[pid] = _WindowState()
                     window = windows[pid]
+                    mask_overlapping = state.mask_overlapping
                     overlaps = state.overlaps
                     add = state.add
                     remove = state.remove
@@ -572,9 +574,11 @@ class PIFTTracker:
                 address_range = ranges[i]
                 if is_loads[i]:
                     loads += 1
-                    if overlaps(address_range):
+                    mask = mask_overlapping(address_range)
+                    if mask:
                         window.last_tainted_load = k
                         window.propagations = 0
+                        window.colour_mask = mask
                         tainted_loads += 1
                     continue
                 stores += 1
@@ -584,7 +588,7 @@ class PIFTTracker:
                     and last <= k <= last + window_size
                     and window.propagations < max_propagations
                 ):
-                    add(address_range)
+                    add(address_range, window.colour_mask)
                     window.propagations += 1
                     taints += 1
                 elif untainting and overlaps(address_range):
@@ -759,9 +763,17 @@ class ColourTracker(PIFTTracker):
 
     Sink queries gain :meth:`check_mask` / :meth:`check_colours` for
     attribution; the inherited boolean :meth:`check` is unchanged.
+    Algorithm 1 itself is :class:`PIFTTracker`'s: its window already
+    carries the mask that :class:`~repro.core.colours.ColourRangeSet`
+    reports.
     """
 
-    _coloured = True
+    # The shared bodies, bound by name: the benchmark's layer tracer
+    # (``perfbench/layers.py``) wraps ``cls.__dict__[name]`` on both
+    # tracker classes, which fails for a name a class only inherits.
+    observe = PIFTTracker.observe
+    observe_columns = PIFTTracker.observe_columns
+    observe_columns_scalar = PIFTTracker.observe_columns_scalar
 
     def __init__(
         self,
@@ -808,174 +820,6 @@ class ColourTracker(PIFTTracker):
         return self.colours.names_for(
             self.check_mask(address_range, pid=pid)
         )
-
-    # -- Algorithm 1, mask-carrying --------------------------------------
-
-    def observe(self, event: MemoryAccess) -> None:
-        """Per-event Algorithm 1; identical control flow to the base
-        tracker, with the window additionally carrying the colour mask of
-        its opening load and in-window stores tainting with it."""
-        state = self.state(event.pid)
-        window = self._windows[event.pid]
-        k = event.instruction_index
-        if k >= window.instructions_retired:
-            self.stats.instructions_observed += (
-                k + 1 - window.instructions_retired
-            )
-            window.instructions_retired = k + 1
-
-        if event.is_load:
-            self.stats.loads_observed += 1
-            mask = state.mask_overlapping(event.address_range)
-            if mask:
-                window.last_tainted_load = k
-                window.propagations = 0
-                window.colour_mask = mask
-                self.stats.tainted_loads += 1
-        else:
-            self.stats.stores_observed += 1
-            in_window = (
-                window.last_tainted_load is not None
-                and window.last_tainted_load <= k
-                and k <= window.last_tainted_load + self.config.window_size
-            )
-            if in_window and window.propagations < self.config.max_propagations:
-                state.add(event.address_range, window.colour_mask)
-                window.propagations += 1
-                self.stats.taint_operations += 1
-                self._after_mutation(event.pid, k)
-            elif self.config.untainting:
-                if state.overlaps(event.address_range):
-                    state.remove(event.address_range)
-                    self.stats.untaint_operations += 1
-                    self._after_mutation(event.pid, k)
-
-    def observe_columns(
-        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
-    ) -> None:
-        """Same three-way dispatch as the base tracker, but the kernel
-        gate requires the coloured state factory (the kernel selects its
-        mask-carrying dense variant via :attr:`_coloured`)."""
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
-        if stop is None:
-            stop = len(columns)
-        if (
-            self.config.vectorized
-            and stop - start >= _VECTORIZED_MIN_EVENTS
-            and self._state_factory is ColourRangeSet
-            and vectorized.HAVE_NUMPY
-        ):
-            vectorized.observe_columns(self, columns, start, stop)
-            return
-        self.observe_columns_scalar(columns, start, stop)
-
-    def observe_columns_scalar(
-        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
-    ) -> None:
-        """The exact coloured scalar loop (the base loop plus mask
-        lookup/carry; same hoisting and bookkeeping discipline)."""
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
-        if stop is None:
-            stop = len(columns)
-        window_size = self.config.window_size
-        max_propagations = self.config.max_propagations
-        untainting = self.config.untainting
-        stats = self.stats
-        states = self._states
-        windows = self._windows
-        state_values = states.values()
-        record_timeline = self._record_timeline
-        timeline = stats.timeline
-        is_loads = columns.is_loads
-        ranges = columns.ranges
-        indices = columns.indices
-        pids = columns.pids
-        loads = stats.loads_observed
-        stores = stats.stores_observed
-        tainted_loads = stats.tainted_loads
-        taints = stats.taint_operations
-        untaints = stats.untaint_operations
-        instructions = stats.instructions_observed
-        max_tainted = stats.max_tainted_bytes
-        max_ranges = stats.max_range_count
-        current_pid: Optional[int] = None
-        window: _WindowState = None  # type: ignore[assignment]
-        mask_overlapping = overlaps = add = remove = None
-        try:
-            for i in range(start, stop):
-                pid = pids[i]
-                if pid != current_pid:
-                    state = states.get(pid)
-                    if state is None:
-                        state = states[pid] = self._state_factory()
-                        windows[pid] = _WindowState()
-                    window = windows[pid]
-                    mask_overlapping = state.mask_overlapping
-                    overlaps = state.overlaps
-                    add = state.add
-                    remove = state.remove
-                    current_pid = pid
-                k = indices[i]
-                if k >= window.instructions_retired:
-                    instructions += k + 1 - window.instructions_retired
-                    window.instructions_retired = k + 1
-                address_range = ranges[i]
-                if is_loads[i]:
-                    loads += 1
-                    mask = mask_overlapping(address_range)
-                    if mask:
-                        window.last_tainted_load = k
-                        window.propagations = 0
-                        window.colour_mask = mask
-                        tainted_loads += 1
-                    continue
-                stores += 1
-                last = window.last_tainted_load
-                if (
-                    last is not None
-                    and last <= k <= last + window_size
-                    and window.propagations < max_propagations
-                ):
-                    add(address_range, window.colour_mask)
-                    window.propagations += 1
-                    taints += 1
-                elif untainting and overlaps(address_range):
-                    remove(address_range)
-                    untaints += 1
-                else:
-                    continue
-                size = sum(s.total_size for s in state_values)
-                count = sum(s.range_count for s in state_values)
-                if size > max_tainted:
-                    max_tainted = size
-                if count > max_ranges:
-                    max_ranges = count
-                if record_timeline:
-                    timeline.append(
-                        TimelinePoint(
-                            instruction_index=k,
-                            tainted_bytes=size,
-                            range_count=count,
-                            cumulative_operations=taints + untaints,
-                        )
-                    )
-        finally:
-            stats.loads_observed = loads
-            stats.stores_observed = stores
-            stats.tainted_loads = tainted_loads
-            stats.taint_operations = taints
-            stats.untaint_operations = untaints
-            stats.instructions_observed = instructions
-            stats.max_tainted_bytes = max_tainted
-            stats.max_range_count = max_ranges
 
     # -- checkpoint / restore --------------------------------------------
 

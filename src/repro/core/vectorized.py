@@ -16,7 +16,7 @@ Both conditions are pure functions of state that only changes at the
 *relevant* events themselves (tainted loads, taints, untaints, source
 registrations).  So the kernel classifies whole blocks of the column
 encoding with ``np.searchsorted`` overlap tests against a sorted-interval
-numpy mirror of each PID's :class:`~repro.core.ranges.RangeSet`
+numpy mirror of each PID's taint state
 (:meth:`~repro.core.ranges.RangeSet.as_arrays`, refreshed on mutation via
 the range set's version counter), bulk-accounts the irrelevant prefix run
 in O(distinct PIDs), and drops into the exact scalar loop
@@ -39,17 +39,20 @@ Soundness argument (the property suite in
   set, so a stale classification stays conservative, never unsound.
 
 The kernel is an execution strategy, not a semantics change: it requires
-the unbounded :class:`~repro.core.ranges.RangeSet` backend (bounded
-hardware models mutate on eviction inside ``add`` and may keep LRU state,
-so skipping their queries would change behaviour) and is bypassed
-entirely when a telemetry shadow is bound over ``observe``.
+an unbounded interval-set backend, :class:`~repro.core.ranges.RangeSet` or
+:class:`~repro.core.colours.ColourRangeSet` (bounded hardware models
+mutate on eviction inside ``add`` and may keep LRU state, so skipping
+their queries would change behaviour), and is bypassed entirely when a
+telemetry shadow is bound over ``observe``.
 """
 
 from __future__ import annotations
 
+import bisect
 import warnings
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Tuple
 
+from repro.core.colours import ColourRangeSet
 from repro.core.ranges import AddressRange
 
 try:
@@ -88,7 +91,7 @@ BAILOUT_AFTER = 512
 REPROBE_EVERY = 4096
 
 #: Ceiling on one dense-executor span (a same-PID run executed with
-#: vectorised window evolution and bulk range-set commits).
+#: vectorised window evolution and per-run range-set commits).
 DENSE_SPAN = 4096
 
 #: Runs shorter than this skip the dense executor — numpy setup on a
@@ -101,12 +104,12 @@ DENSE_MIN = 32
 #: cheaper scalar.
 DENSE_MAX_MUTATIONS = 24
 
-#: Consecutive mutation-budget bail-outs tolerated before the coloured
-#: dense path stops re-probing: mask churn (stores that OR new colour
-#: bits into covered ranges) makes every span mutation-heavy, so paying
-#: full-span classification just to hand off is a pure loss.  After the
-#: streak trips, whole :data:`REPROBE_EVERY` chunks go straight to the
-#: scalar loop, then the dense path probes again.
+#: Consecutive mutation-budget bail-outs tolerated before the dense path
+#: stops re-probing: churn (taint/untaint churn, or stores that OR new
+#: colour bits into covered ranges) makes every span mutation-heavy, so
+#: paying full-span classification just to hand off is a pure loss.
+#: After the streak trips, whole :data:`REPROBE_EVERY` chunks go straight
+#: to the scalar loop, then the dense path probes again.
 DENSE_CHURN_STREAK = 2
 
 #: One-shot flag for the numpy-absence fallback warning.
@@ -242,283 +245,37 @@ def _skip_run(tracker: "PIFTTracker", arrays: "ColumnArrays", lo: int, hi: int) 
             window.instructions_retired = top + 1
 
 
-def _overlap_masks(state, query_start, query_end):
-    """Exact (hit, contained) masks for query ranges against ``state``.
+def _coverage(state, coloured: bool, query_start, query_end):
+    """``(hit, contained, omask, cover_mask)`` for query ranges against
+    one PID's taint state.
 
     ``hit`` is the paper's overlap test; ``contained`` is full coverage
-    by a single stored range (a contained taint-add changes no content,
-    so the dense executor can commit it as pure counter updates).
-    """
-    starts, ends = state.as_arrays()
-    if not starts.size:
-        zeros = _np.zeros(len(query_start), dtype=bool)
-        return zeros, zeros.copy()
-    c_end = _np.searchsorted(starts, query_end, side="right") - 1
-    hit = (c_end >= 0) & (ends[_np.maximum(c_end, 0)] >= query_start)
-    c_start = _np.searchsorted(starts, query_start, side="right") - 1
-    contained = (c_start >= 0) & (ends[_np.maximum(c_start, 0)] >= query_end)
-    return hit, contained
-
-
-def _dense_span(
-    tracker: "PIFTTracker",
-    columns: "EventColumns",
-    arrays: "ColumnArrays",
-    lo: int,
-    limit: int,
-):
-    """Vectorised *execution* of one same-PID run starting at ``lo``.
-
-    The dense-regime engine: instead of handing relevant events to the
-    scalar loop one short run at a time, simulate Algorithm 1's window
-    evolution for the whole run under fixed overlap masks, bulk-commit
-    everything up to the first *content* mutation (taint of uncovered
-    bytes, or an effective untaint), process the mutation run through the
-    bulk range-set primitives, patch the masks from the merged extent,
-    and continue.  Returns ``(consumed, scalar_events)`` so the caller's
-    density accounting can tell vector-handled events from scalar ones.
-
-    Soundness (checked bit-for-bit by the parity suite): taint decisions
-    depend only on window evolution — hit-load positions, the two window
-    edges, and the propagation cap — never on taint *content*, so they
-    stay valid across content mutations as long as the masks feeding the
-    hit-load positions do; the executor therefore never advances past a
-    content mutation without patching the masks, and every quantity it
-    bulk-commits (counters, telescoped high-water marks, window state at
-    the cut) equals the scalar loop's value by construction.  Contained
-    taint-adds mutate no content (a contained add merges into exactly its
-    covering range), so they commit as counter updates; per-mutation
-    ``max_range_count`` bookkeeping is reproduced either by the
-    can't-exceed-the-high-water guard or by per-step fallback.
-    """
-    run_hi = arrays.same_pid_run(lo, min(lo + DENSE_SPAN, limit))
-    n = run_hi - lo
-    if n < DENSE_MIN:
-        consumed = min(SCALAR_RUN, limit - lo)
-        tracker.observe_columns_scalar(columns, lo, lo + consumed)
-        return consumed, consumed
-    pid = int(arrays.pids[lo])
-    if pid not in tracker._windows:
-        tracker.state(pid)
-    state = tracker._states[pid]
-    window = tracker._windows[pid]
-    config = tracker.config
-    ni = config.window_size
-    nt = config.max_propagations
-    untainting = config.untainting
-    stats = tracker.stats
-
-    K = arrays.indices[lo:run_hi]
-    S = arrays.starts[lo:run_hi]
-    E = arrays.ends[lo:run_hi]
-    L = arrays.is_load[lo:run_hi]
-    stores_m = ~L
-
-    if len(state):
-        hit, contained = _overlap_masks(state, S, E)
-    else:
-        hit = _np.zeros(n, dtype=bool)
-        contained = hit.copy()
-
-    last = window.last_tainted_load
-    props = window.propagations
-    p = 0
-    mutations = 0
-    scalar_events = 0
-    while p < n:
-        # -- simulate window evolution under the current masks ----------
-        hl = _np.flatnonzero(L[p:] & hit[p:]) + p
-        seg = _np.searchsorted(hl, _np.arange(p, n), side="right") - 1
-        in_seg = seg >= 0
-        if hl.size:
-            gov = K[hl[_np.maximum(seg, 0)]]
-        else:
-            gov = _np.zeros(n - p, dtype=_np.int64)
-        kk = K[p:]
-        if last is not None:
-            gov = _np.where(in_seg, gov, last)
-            windowed = _np.ones(n - p, dtype=bool)
-        else:
-            windowed = in_seg
-        in_win = stores_m[p:] & windowed & (kk >= gov) & (kk <= gov + ni)
-        ranks = _np.cumsum(in_win)
-        if hl.size:
-            base = _np.where(in_seg, ranks[hl - p][_np.maximum(seg, 0)], 0)
-        else:
-            base = 0
-        cap = _np.where(in_seg, nt, nt - props)
-        taint = in_win & (ranks - 1 - base < cap)
-        if untainting:
-            untaint_cand = stores_m[p:] & ~taint & hit[p:]
-        else:
-            untaint_cand = _np.zeros(n - p, dtype=bool)
-        content_mut = (taint & ~contained[p:]) | untaint_cand
-        cuts = _np.flatnonzero(content_mut)
-        cut = (int(cuts[0]) + p) if cuts.size else n
-
-        # -- bulk-commit the mutation-free prefix [p, cut) --------------
-        if cut > p:
-            sl = slice(p, cut)
-            load_count = int(_np.count_nonzero(L[sl]))
-            stats.loads_observed += load_count
-            stats.stores_observed += (cut - p) - load_count
-            stats.tainted_loads += int(_np.count_nonzero(L[sl] & hit[sl]))
-            taint_count = int(_np.count_nonzero(taint[: cut - p]))
-            stats.taint_operations += taint_count
-            top = int(K[sl].max())
-            if top >= window.instructions_retired:
-                stats.instructions_observed += (
-                    top + 1 - window.instructions_retired
-                )
-                window.instructions_retired = top + 1
-            hl_before = hl[hl < cut]
-            if hl_before.size:
-                last_load = int(hl_before[-1])
-                last = int(K[last_load])
-                props = int(
-                    _np.count_nonzero(taint[last_load + 1 - p : cut - p])
-                )
-            elif last is not None:
-                props += taint_count
-        if cut >= n:
-            break
-
-        # -- a content mutation: execute its run via bulk primitives ----
-        mutations += 1
-        if mutations > DENSE_MAX_MUTATIONS:
-            # Mutation-heavy span — each mutation costs a mask patch and
-            # a re-simulation, so the scalar loop is cheaper from here.
-            window.last_tainted_load = last
-            window.propagations = props
-            tracker.observe_columns_scalar(columns, lo + cut, run_hi)
-            return n, scalar_events + (n - cut)
-        other_size = tracker.tainted_bytes - state.total_size
-        other_count = tracker.range_count - state.range_count
-        if taint[cut - p]:
-            # Maximal run of consecutive taint-decision stores: decisions
-            # are content-independent, so the whole run is committed with
-            # one sorted-merge bulk add.
-            rest = taint[cut - p :]
-            stop_rel = _np.flatnonzero(~rest)
-            j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            pairs = list(
-                zip(S[cut:j].tolist(), E[cut:j].tolist())
-            )
-            count_before = other_count + state.range_count
-            if count_before + len(pairs) <= stats.max_range_count:
-                # No intermediate step can set a new range-count
-                # high-water mark (each add raises the count by at most
-                # one) and tainted bytes only grow, so committing the
-                # final totals reproduces per-step bookkeeping exactly.
-                extent = state.add_many(pairs)
-                size = other_size + state.total_size
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-            else:
-                add = state.add
-                max_bytes = stats.max_tainted_bytes
-                max_ranges = stats.max_range_count
-                for pair_start, pair_end in pairs:
-                    add(AddressRange(pair_start, pair_end))
-                    size = other_size + state.total_size
-                    count = other_count + state.range_count
-                    if size > max_bytes:
-                        max_bytes = size
-                    if count > max_ranges:
-                        max_ranges = count
-                stats.max_tainted_bytes = max_bytes
-                stats.max_range_count = max_ranges
-                starts2, ends2 = state.as_arrays()
-                hull_lo = int(min(s for s, _ in pairs))
-                hull_hi = int(max(e for _, e in pairs))
-                i0 = int(_np.searchsorted(ends2, hull_lo, side="left"))
-                i1 = int(
-                    _np.searchsorted(starts2, hull_hi, side="right")
-                ) - 1
-                extent = (int(starts2[i0]), int(ends2[i1]))
-            stats.stores_observed += j - cut
-            stats.taint_operations += j - cut
-            props += j - cut
-        else:
-            # Maximal run of consecutive non-taint stores: untaint
-            # candidates resolve sequentially inside remove_many (an
-            # earlier untaint can void a later candidate), reported
-            # per-step because a split *raises* the range count.
-            rest = L[cut:] | taint[cut - p :]
-            stop_rel = _np.flatnonzero(rest)
-            j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            cand = _np.flatnonzero(hit[cut:j]) + cut
-            steps = state.remove_many(
-                [(int(S[i]), int(E[i])) for i in cand]
-            )
-            effective = [
-                (i, total_after, count_after)
-                for (i, (ok, total_after, count_after)) in zip(cand, steps)
-                if ok
-            ]
-            for _, total_after, count_after in effective:
-                stats.untaint_operations += 1
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-                if count > stats.max_range_count:
-                    stats.max_range_count = count
-            stats.stores_observed += j - cut
-            if effective:
-                extent = (
-                    int(min(S[i] for i, _, _ in effective)),
-                    int(max(E[i] for i, _, _ in effective)),
-                )
-            else:
-                extent = None
-        top = int(K[cut:j].max())
-        if top >= window.instructions_retired:
-            stats.instructions_observed += top + 1 - window.instructions_retired
-            window.instructions_retired = top + 1
-
-        # -- patch the masks: only events overlapping the mutated extent
-        #    can have changed coverage -------------------------------------
-        if extent is not None and j < n:
-            extent_lo, extent_hi = extent
-            suspects = _np.flatnonzero(
-                (S[j:] <= extent_hi) & (E[j:] >= extent_lo)
-            ) + j
-            if suspects.size:
-                new_hit, new_contained = _overlap_masks(
-                    state, S[suspects], E[suspects]
-                )
-                hit[suspects] = new_hit
-                contained[suspects] = new_contained
-        p = j
-    window.last_tainted_load = last
-    window.propagations = props
-    return n, scalar_events
-
-
-def _colour_masks(state, query_start, query_end):
-    """``(hit, contained, omask, cover_mask)`` for query ranges against a
-    :class:`~repro.core.colours.ColourRangeSet`.
-
-    ``hit``/``contained`` match :func:`_overlap_masks`; ``omask`` is the
-    OR of every overlapped range's colour mask (the window mask a tainted
+    by a single stored range (a contained taint-add changes no coverage,
+    so the dense executor can commit it as pure counter updates).  The
+    mask arrays are built only for a coloured state: ``omask`` is the OR
+    of every overlapped range's colour mask (the window mask a tainted
     load would carry), ``cover_mask`` the covering range's mask for
-    contained queries (the superset test for absorbed taint-adds).
-    Queries overlapping a single stored range — the overwhelming case,
-    since coloured intervals are coalesced per colour — resolve fully
-    vectorised; the rare multi-range stragglers take a short exact loop.
+    contained queries (the superset test for absorbed taint-adds).  A
+    single-bit state gets ``None`` for both.  Queries overlapping a
+    single stored range — the overwhelming case, since coloured
+    intervals are coalesced per colour — resolve fully vectorised; the
+    rare multi-range stragglers take a few passes by overlap depth.
     """
     starts, ends = state.as_arrays()
     nq = len(query_start)
     if not starts.size:
-        zeros = _np.zeros(nq, dtype=bool)
+        hit = _np.zeros(nq, dtype=bool)
+        if not coloured:
+            return hit, hit.copy(), None, None
         zmask = _np.zeros(nq, dtype=_np.uint64)
-        return zeros, zeros.copy(), zmask, zmask.copy()
-    rmasks = state.mask_array()
+        return hit, hit.copy(), zmask, zmask.copy()
     c_end = _np.searchsorted(starts, query_end, side="right") - 1
     hit = (c_end >= 0) & (ends[_np.maximum(c_end, 0)] >= query_start)
     c_start = _np.searchsorted(starts, query_start, side="right") - 1
     contained = (c_start >= 0) & (ends[_np.maximum(c_start, 0)] >= query_end)
+    if not coloured:
+        return hit, contained, None, None
+    rmasks = state.mask_array()
     first = _np.searchsorted(ends, query_start, side="left")
     last = _np.maximum(c_end, 0)
     omask = _np.where(
@@ -546,30 +303,64 @@ def _colour_masks(state, query_start, query_end):
     return hit, contained, omask, cover_mask
 
 
-def _dense_span_coloured(
+def _add_steps(state, pairs: List[Tuple[int, int]], mask: int):
+    """Taint each ``(start, end)`` pair with ``mask``, in order, through
+    the state's own ``add`` — the dense executor's one taint commit.
+
+    Returns ``(extent, steps)``.  ``steps`` holds ``(total_size,
+    range_count)`` after every add: the values the scalar loop's
+    per-mutation high-water bookkeeping sees.  ``range_count`` is not
+    monotone under adds (a merge shrinks it; a coloured add spanning k
+    gapped differently-masked ranges raises it by k+1), so only the
+    per-step values fold exactly.  ``extent`` is the smallest span
+    covering every stored range the run touched: outside it, coverage
+    and masks are unchanged, so callers patch cached masks from it.
+    """
+    add = state.add
+    steps = []
+    for start, end in pairs:
+        add(AddressRange(start, end), mask)
+        steps.append((state.total_size, state.range_count))
+    # Both interval sets keep sorted, disjoint ``_starts``/``_ends``.
+    starts, ends = state._starts, state._ends
+    first = bisect.bisect_left(ends, min(start for start, _ in pairs))
+    last = bisect.bisect_right(starts, max(end for _, end in pairs)) - 1
+    return (starts[first], ends[last]), steps
+
+
+def _dense_span(
     tracker: "PIFTTracker",
     columns: "EventColumns",
     arrays: "ColumnArrays",
     lo: int,
     limit: int,
 ):
-    """Mask-carrying variant of :func:`_dense_span` for the coloured
-    tracker (:class:`~repro.core.tracker.ColourTracker`).
+    """Vectorised *execution* of one same-PID run starting at ``lo``.
 
-    Identical window simulation — taint/untaint *classification* never
-    consults masks, only coverage, so ``hit``/``contained``/the window
-    evolution are computed exactly as in the plain executor.  On top of
-    that it carries colour: each governing hit load's overlap mask
-    becomes the window mask, a consecutive taint run (which contains no
-    loads, hence has one governing window) commits with that single mask,
-    and a contained taint-add only counts as content-free when its
-    covering range's mask is a *superset* of the window mask — otherwise
-    the add would OR new colour bits in, which is a content mutation the
-    mask patch must see.  Untaints stay colour-blind (an overwrite
-    destroys all taint), so the bulk remove path is unchanged.
+    The dense-regime engine: instead of handing relevant events to the
+    scalar loop one short run at a time, simulate Algorithm 1's window
+    evolution for the whole run under fixed coverage masks, bulk-commit
+    everything up to the first *content* mutation (a taint that changes
+    coverage or colours, or an effective untaint), execute the mutation
+    run step by step, patch the masks from the mutated extent, and
+    continue.  Returns ``(consumed, scalar_events)`` so the caller's
+    density accounting can tell vector-handled events from scalar ones.
+
+    Soundness (checked bit-for-bit by the parity suites): taint decisions
+    depend only on window evolution — hit-load positions, the two window
+    edges, and the propagation cap — never on taint *content* or colour,
+    so they stay valid across content mutations as long as the masks
+    feeding the hit-load positions do; the executor therefore never
+    advances past a content mutation without patching the masks, and
+    every quantity it bulk-commits (counters, telescoped high-water
+    marks, window state at the cut) equals the scalar loop's value by
+    construction.  A contained taint-add whose covering range already
+    holds every bit of the window mask mutates nothing, so it commits
+    as a counter update.  Colours ride along only for a
+    :class:`~repro.core.colours.ColourRangeSet`: the window mask of each
+    store is its governing hit load's overlap mask.
     """
-    streak = getattr(tracker, "_dense_churn_streak", 0)
-    if streak >= DENSE_CHURN_STREAK:
+    if tracker._dense_churn_streak >= DENSE_CHURN_STREAK:
         # Churn hysteresis: recent spans all tripped the mutation budget,
         # so classification would be thrown away again — scalar a whole
         # chunk, then probe dense once more.
@@ -588,6 +379,9 @@ def _dense_span_coloured(
         tracker.state(pid)
     state = tracker._states[pid]
     window = tracker._windows[pid]
+    # Mask arrays cost real time on taint-dense spans, so single-bit
+    # states never build them.
+    coloured = isinstance(state, ColourRangeSet)
     config = tracker.config
     ni = config.window_size
     nt = config.max_propagations
@@ -600,36 +394,33 @@ def _dense_span_coloured(
     L = arrays.is_load[lo:run_hi]
     stores_m = ~L
 
-    hit, contained, omask, cover_mask = _colour_masks(state, S, E)
+    hit, contained, omask, cover_mask = _coverage(state, coloured, S, E)
 
     last = window.last_tainted_load
     props = window.propagations
     wmask = window.colour_mask
     p = 0
     mutations = 0
-    scalar_events = 0
     while p < n:
         # -- simulate window evolution under the current masks ----------
         hl = _np.flatnonzero(L[p:] & hit[p:]) + p
         seg = _np.searchsorted(hl, _np.arange(p, n), side="right") - 1
         in_seg = seg >= 0
         if hl.size:
-            gov = K[hl[_np.maximum(seg, 0)]]
-            gmasks = omask[hl[_np.maximum(seg, 0)]]
+            governing = hl[_np.maximum(seg, 0)]
+            gov = K[governing]
         else:
             gov = _np.zeros(n - p, dtype=_np.int64)
-            gmasks = _np.zeros(n - p, dtype=_np.uint64)
         kk = K[p:]
         if last is not None:
             gov = _np.where(in_seg, gov, last)
-            gmasks = _np.where(in_seg, gmasks, _np.uint64(wmask))
             windowed = _np.ones(n - p, dtype=bool)
         else:
             windowed = in_seg
         in_win = stores_m[p:] & windowed & (kk >= gov) & (kk <= gov + ni)
         ranks = _np.cumsum(in_win)
         if hl.size:
-            base = _np.where(in_seg, ranks[hl - p][_np.maximum(seg, 0)], 0)
+            base = _np.where(in_seg, ranks[governing - p], 0)
         else:
             base = 0
         cap = _np.where(in_seg, nt, nt - props)
@@ -638,7 +429,17 @@ def _dense_span_coloured(
             untaint_cand = stores_m[p:] & ~taint & hit[p:]
         else:
             untaint_cand = _np.zeros(n - p, dtype=bool)
-        absorbed = contained[p:] & ((cover_mask[p:] & gmasks) == gmasks)
+        absorbed = contained[p:]
+        if coloured:
+            # A contained add is content-free only when the covering
+            # range already holds every bit of the governing window mask.
+            if hl.size:
+                gmasks = omask[governing]
+            else:
+                gmasks = _np.zeros(n - p, dtype=_np.uint64)
+            if last is not None:
+                gmasks = _np.where(in_seg, gmasks, _np.uint64(wmask))
+            absorbed = absorbed & ((cover_mask[p:] & gmasks) == gmasks)
         content_mut = (taint & ~absorbed) | untaint_cand
         cuts = _np.flatnonzero(content_mut)
         cut = (int(cuts[0]) + p) if cuts.size else n
@@ -665,109 +466,96 @@ def _dense_span_coloured(
                 props = int(
                     _np.count_nonzero(taint[last_load + 1 - p : cut - p])
                 )
-                wmask = int(omask[last_load])
+                wmask = int(omask[last_load]) if coloured else True
             elif last is not None:
                 props += taint_count
         if cut >= n:
             break
 
-        # -- a content mutation: execute its run via bulk primitives ----
+        # -- a content mutation: execute its run step by step ----------
         mutations += 1
         if mutations > DENSE_MAX_MUTATIONS:
+            # Mutation-heavy span — each mutation costs a mask patch and
+            # a re-simulation, so the scalar loop is cheaper from here.
             window.last_tainted_load = last
             window.propagations = props
             window.colour_mask = wmask
-            tracker._dense_churn_streak = streak + 1
+            tracker._dense_churn_streak += 1
             tracker.observe_columns_scalar(columns, lo + cut, run_hi)
-            return n, scalar_events + (n - cut)
+            return n, n - cut
         other_size = tracker.tainted_bytes - state.total_size
         other_count = tracker.range_count - state.range_count
         if taint[cut - p]:
-            # A consecutive taint run contains no loads, so one governing
-            # window — and one colour mask — covers the whole run.
-            gmask = int(gmasks[cut - p])
-            rest = taint[cut - p :]
-            stop_rel = _np.flatnonzero(~rest)
+            # Maximal run of consecutive taint-decision stores.  It holds
+            # no loads, so the live window — whose mask the prefix commit
+            # just carried into ``wmask`` — governs all of it.
+            stop_rel = _np.flatnonzero(~taint[cut - p :])
             j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
-            pairs = list(
-                zip(S[cut:j].tolist(), E[cut:j].tolist())
+            extent, steps = _add_steps(
+                state, list(zip(S[cut:j].tolist(), E[cut:j].tolist())), wmask
             )
-            # A coloured add spanning k gapped differently-masked ranges
-            # can raise the range count by k+1 — no static per-add budget
-            # proves the bulk run sets no new high-water mark (unlike the
-            # plain path above, where each add raises the count by at most
-            # one).  add_many_steps reports (total, count) after every
-            # add, so the non-monotone maxima fold exactly as the scalar
-            # loop's per-mutation bookkeeping.
-            extent, steps = state.add_many_steps(pairs, gmask)
-            max_bytes = stats.max_tainted_bytes
-            max_ranges = stats.max_range_count
-            for total_after, count_after in steps:
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > max_bytes:
-                    max_bytes = size
-                if count > max_ranges:
-                    max_ranges = count
-            stats.max_tainted_bytes = max_bytes
-            stats.max_range_count = max_ranges
-            stats.stores_observed += j - cut
             stats.taint_operations += j - cut
             props += j - cut
         else:
-            rest = L[cut:] | taint[cut - p :]
-            stop_rel = _np.flatnonzero(rest)
+            # Maximal run of consecutive non-taint stores: untaint
+            # candidates resolve sequentially inside remove_many (an
+            # earlier untaint can void a later candidate), reported
+            # per-step because a split *raises* the range count.
+            stop_rel = _np.flatnonzero(L[cut:] | taint[cut - p :])
             j = cut + (int(stop_rel[0]) if stop_rel.size else n - cut)
             cand = _np.flatnonzero(hit[cut:j]) + cut
-            steps = state.remove_many(
+            removed = state.remove_many(
                 [(int(S[i]), int(E[i])) for i in cand]
             )
-            effective = [
-                (i, total_after, count_after)
-                for (i, (ok, total_after, count_after)) in zip(cand, steps)
-                if ok
-            ]
-            for _, total_after, count_after in effective:
-                stats.untaint_operations += 1
-                size = other_size + total_after
-                count = other_count + count_after
-                if size > stats.max_tainted_bytes:
-                    stats.max_tainted_bytes = size
-                if count > stats.max_range_count:
-                    stats.max_range_count = count
-            stats.stores_observed += j - cut
+            effective = [i for i, (ok, _, _) in zip(cand, removed) if ok]
+            steps = [(total, count) for ok, total, count in removed if ok]
+            stats.untaint_operations += len(steps)
             if effective:
                 extent = (
-                    int(min(S[i] for i, _, _ in effective)),
-                    int(max(E[i] for i, _, _ in effective)),
+                    int(min(S[i] for i in effective)),
+                    int(max(E[i] for i in effective)),
                 )
             else:
                 extent = None
+        # Fold the per-step totals into the tracker-wide high-water
+        # marks, as the scalar loop's per-mutation bookkeeping does.
+        max_bytes = stats.max_tainted_bytes
+        max_ranges = stats.max_range_count
+        for total, count in steps:
+            if other_size + total > max_bytes:
+                max_bytes = other_size + total
+            if other_count + count > max_ranges:
+                max_ranges = other_count + count
+        stats.max_tainted_bytes = max_bytes
+        stats.max_range_count = max_ranges
+        stats.stores_observed += j - cut
         top = int(K[cut:j].max())
         if top >= window.instructions_retired:
             stats.instructions_observed += top + 1 - window.instructions_retired
             window.instructions_retired = top + 1
 
-        # -- patch the masks (coverage *and* colours) from the extent ---
+        # -- patch the masks: only events overlapping the mutated extent
+        #    can have changed coverage or colours ----------------------------
         if extent is not None and j < n:
             extent_lo, extent_hi = extent
             suspects = _np.flatnonzero(
                 (S[j:] <= extent_hi) & (E[j:] >= extent_lo)
             ) + j
             if suspects.size:
-                new_hit, new_contained, new_omask, new_cover = _colour_masks(
-                    state, S[suspects], E[suspects]
+                new_hit, new_contained, new_omask, new_cover = _coverage(
+                    state, coloured, S[suspects], E[suspects]
                 )
                 hit[suspects] = new_hit
                 contained[suspects] = new_contained
-                omask[suspects] = new_omask
-                cover_mask[suspects] = new_cover
+                if coloured:
+                    omask[suspects] = new_omask
+                    cover_mask[suspects] = new_cover
         p = j
     window.last_tainted_load = last
     window.propagations = props
     window.colour_mask = wmask
     tracker._dense_churn_streak = 0
-    return n, scalar_events
+    return n, 0
 
 
 def observe_columns(
@@ -808,7 +596,6 @@ def observe_columns(
     arrays = columns.arrays()
     scalar = tracker.observe_columns_scalar
     dense_ok = not tracker._record_timeline
-    dense = _dense_span_coloured if tracker._coloured else _dense_span
     position = start
     block = BLOCK_MIN
     vector_handled = 0
@@ -828,7 +615,7 @@ def observe_columns(
         # the exact scalar loop when timeline recording demands
         # per-mutation samples), then re-sync against the updated state.
         if dense_ok:
-            consumed, dense_scalar = dense(
+            consumed, dense_scalar = _dense_span(
                 tracker, columns, arrays, position, stop
             )
         else:

@@ -88,7 +88,7 @@ def run_batched(config, stream, telemetry=None, encode=None):
     tracker = PIFTTracker(config, telemetry=telemetry)
     tracker.taint_source(SOURCE, pid=1)
     tracker.taint_source(SOURCE, pid=2)
-    tracker.observe_batch(encode(stream) if encode else stream)
+    tracker.run(encode(stream) if encode else stream)
     return tracker
 
 

@@ -4,8 +4,8 @@ Two claims lock the colour layer down:
 
 1. **Three-way execution parity** — the coloured tracker's per-event
    ``observe``, scalar ``observe_columns_scalar``, and vectorised
-   ``observe_columns_vectorized`` (which routes through the
-   mask-carrying dense executor) are observationally identical on random
+   ``observe_columns_vectorized`` (whose dense executor builds mask
+   arrays for coloured state) are observationally identical on random
    multi-source, multi-PID streams: same stats, same interval+mask
    state, same colour attributions.
 

@@ -1,10 +1,15 @@
 """Property-based tests for the hardware taint-storage models."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PIFTConfig
+from repro.core.events import AccessKind, EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange, RangeSet
 from repro.core.taint_storage import BoundedRangeCache, EvictionPolicy
+from repro.core.tracker import PIFTTracker
 
 ADDRESS_SPACE = 200
 
@@ -113,3 +118,74 @@ def test_lru_spill_stats_consistent(items):
     assert stats.lookups == len(items)
     assert stats.hits + stats.secondary_hits + stats.misses == stats.lookups
     assert stats.misses == 0  # everything just added must answer positive
+
+
+# -- per-event vs column feeding on bounded storage ---------------------------
+#
+# A bounded cache's lookups move its LRU clock and count in its stats, so
+# the tracker's column loop must make exactly the state calls per-event
+# ``observe`` makes: same ``mask_overlapping`` per load, same ``add`` or
+# ``overlaps`` + ``remove`` per store.
+
+tracker_events = st.lists(
+    st.tuples(
+        st.booleans(),                   # is_load
+        st.integers(0, ADDRESS_SPACE),   # start
+        st.integers(1, 8),               # size
+        st.integers(-2, 6),              # per-PID index step (may regress)
+        st.integers(0, 1),               # pid
+    ),
+    max_size=120,
+)
+
+SINKS = [(AddressRange(0, 15), 0), (AddressRange(0, ADDRESS_SPACE), 0),
+         (AddressRange(0, ADDRESS_SPACE), 1), (AddressRange(40, 80), 1)]
+
+
+@given(
+    tracker_events,
+    st.sampled_from(list(EvictionPolicy)),
+    st.integers(1, 6),
+    st.sampled_from([0, 2, 4]),
+    st.booleans(),
+    st.integers(0, 120),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_feeding_matches_per_event_on_bounded_storage(
+    raw, policy, capacity, granularity, untainting, cut
+):
+    cursors = {}
+    stream = []
+    for is_load, start, size, step, pid in raw:
+        cursors[pid] = max(0, cursors.get(pid, 0) + step)
+        stream.append(MemoryAccess(
+            AccessKind.LOAD if is_load else AccessKind.STORE,
+            AddressRange.from_base_size(start, size), cursors[pid], pid,
+        ))
+
+    def tracker():
+        made = PIFTTracker(
+            PIFTConfig(8, 2, untainting),
+            state_factory=lambda: BoundedRangeCache(
+                capacity, policy=policy, granularity_bits=granularity
+            ),
+        )
+        made.taint_source(AddressRange(0, 15), pid=0)
+        made.taint_source(AddressRange(40, 47), pid=1)
+        return made
+
+    def fingerprint(made):
+        verdicts = [made.check(sink, pid=pid) for sink, pid in SINKS]
+        return json.dumps(
+            [made.stats.as_dict(), made.snapshot(), verdicts], sort_keys=True
+        )
+
+    per_event = tracker()
+    for event in stream:
+        per_event.observe(event)
+    batched = tracker()
+    columns = EventColumns.from_events(stream)
+    cut = min(cut, len(stream))
+    batched.observe_columns(columns, 0, cut)
+    batched.observe_columns(columns, cut, len(stream))
+    assert fingerprint(batched) == fingerprint(per_event)

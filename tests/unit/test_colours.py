@@ -114,32 +114,6 @@ class TestColourRangeSetAdd:
         with pytest.raises(ValueError):
             ColourRangeSet().add(AddressRange(0, 1), 0)
 
-    def test_add_many_extent_covers_batch(self):
-        crs = ColourRangeSet()
-        extent = crs.add_many([(10, 19), (40, 49)], IMEI)
-        assert extent == (10, 49)
-        assert crs.add_many([], IMEI) is None
-
-    def test_add_many_steps_reports_per_step_counts(self):
-        # One add spanning two gapped differently-masked ranges raises
-        # the range count by 3 (splits at both colour boundaries) — no
-        # static per-add budget bounds this, which is why the dense
-        # executor's high-water bookkeeping needs the per-step counts.
-        crs = ColourRangeSet()
-        crs.add(AddressRange(1, 1), IMEI)
-        crs.add(AddressRange(3, 3), GPS)
-        extent, steps = crs.add_many_steps([(0, 4)], SMS)
-        assert extent == (0, 4)
-        assert steps == [(5, 5)]
-        assert triples(crs) == [
-            (0, 0, SMS),
-            (1, 1, IMEI | SMS),
-            (2, 2, SMS),
-            (3, 3, GPS | SMS),
-            (4, 4, SMS),
-        ]
-        assert crs.add_many_steps([], SMS) == (None, [])
-
 
 class TestColourRangeSetRemove:
     def test_remove_is_colour_blind_and_keeps_remnant_masks(self):
@@ -167,8 +141,8 @@ class TestColourRangeSetRemove:
 
 
 class TestColouredDenseHighWater:
-    """Regression: the coloured dense executor's bulk taint commit once
-    guarded per-step ``max_range_count`` bookkeeping with a static
+    """Regression: the dense executor's taint commit on coloured state
+    once guarded per-step ``max_range_count`` bookkeeping with a static
     +2-per-add budget, but a coloured add spanning k gapped
     differently-masked ranges raises the count by k+1 — the vectorised
     run under-recorded the high-water mark the scalar loop saw."""

@@ -69,6 +69,43 @@ class TestHardwareModuleCommands:
         assert hw.config.window_size == 9
         assert hw.config.max_propagations == 2
 
+    def test_configure_keeps_fields_it_does_not_set(self):
+        hw = PIFTHardwareModule(
+            PIFTConfig(5, 2, untainting=False, vectorized=False)
+        )
+        response = hw.execute(
+            CommandRequest(Command.CONFIGURE, window_size=9, max_propagations=4)
+        )
+        assert response.ok
+        assert hw.config == PIFTConfig(
+            9, 4, untainting=False, vectorized=False
+        )
+
+    @pytest.mark.parametrize("field", ["window_size", "max_propagations"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_configure_rejects_out_of_range_value(self, field, value):
+        # Zero is a value, not "not given"; neither it nor a negative
+        # one may raise out of execute or change the config.
+        hw, *_ = make_stack(ni=5, nt=2)
+        before = hw.config
+        response = hw.execute(CommandRequest(Command.CONFIGURE, **{field: value}))
+        assert not response.ok
+        assert hw.config == before
+
+    def test_configure_rejection_leaves_valid_field_unchanged(self):
+        hw, *_ = make_stack(ni=5, nt=2)
+        response = hw.execute(
+            CommandRequest(Command.CONFIGURE, window_size=9, max_propagations=0)
+        )
+        assert not response.ok
+        assert (hw.config.window_size, hw.config.max_propagations) == (5, 2)
+
+    def test_kernel_module_raises_on_rejected_configure(self):
+        hw, module, *_ = make_stack(ni=5, nt=2)
+        with pytest.raises(RuntimeError, match="rejected CONFIGURE"):
+            module.configure(window_size=0, max_propagations=3)
+        assert hw.config.window_size == 5
+
 
 class TestFrontEnd:
     def test_counts_all_instructions(self):

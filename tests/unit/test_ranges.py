@@ -201,57 +201,8 @@ class TestRangeSet:
 
 
 class TestBulkMutations:
-    """add_many / remove_many: one sorted-merge (or one version bump)
-    must be content-equivalent to sequential add()/remove() calls."""
-
-    def test_add_many_matches_sequential_adds(self):
-        import random
-
-        rng = random.Random(20260808)
-        for _ in range(50):
-            base = [
-                AddressRange.from_base_size(rng.randrange(0, 500), rng.randint(1, 9))
-                for _ in range(rng.randint(0, 8))
-            ]
-            batch = [
-                (s, s + rng.randint(0, 8))
-                for s in (rng.randrange(0, 500) for _ in range(rng.randint(1, 20)))
-            ]
-            bulk = RangeSet(base)
-            sequential = RangeSet(base)
-            bulk.add_many(batch)
-            for s, e in batch:
-                sequential.add(AddressRange(s, e))
-            assert bulk == sequential
-            assert bulk.total_size == sequential.total_size
-            assert bulk.range_count == sequential.range_count
-
-    def test_add_many_extent_covers_every_touched_range(self):
-        s = RangeSet([AddressRange(0, 4), AddressRange(100, 104), AddressRange(300, 304)])
-        extent = s.add_many([(3, 10), (98, 99)])
-        # [0,4] merged with [3,10] -> [0,10]; [98,99] adjacent to [100,104]
-        # -> [98,104]; [300,304] untouched.
-        assert extent == (0, 104)
-        assert list(s) == [
-            AddressRange(0, 10),
-            AddressRange(98, 104),
-            AddressRange(300, 304),
-        ]
-
-    def test_add_many_empty_batch_is_noop(self):
-        s = RangeSet([AddressRange(0, 4)])
-        assert s.add_many([]) is None
-        assert list(s) == [AddressRange(0, 4)]
-
-    def test_add_many_writes_mirror_back(self):
-        s = RangeSet([AddressRange(0, 4)])
-        s.add_many([(10, 14)])
-        mirror = s._np_mirror
-        assert mirror is not None and mirror[0] == s._version
-        starts, ends = s.as_arrays()
-        assert s._np_mirror is mirror  # no rebuild needed
-        assert starts.tolist() == [0, 10]
-        assert ends.tolist() == [4, 14]
+    """remove_many: one version bump, content-equivalent to sequential
+    remove() calls, with per-step reports."""
 
     def test_remove_many_matches_sequential_removes(self):
         import random

@@ -266,7 +266,7 @@ class TestMultiProcessAccounting:
         for event in events:
             serial.observe(event)
         batched = PIFTTracker(PIFTConfig(window_size=5, max_propagations=2))
-        batched.observe_batch(events)
+        batched.run(events)
         assert batched.stats.instructions_observed == 201
         assert (
             batched.stats.instructions_observed

@@ -221,6 +221,48 @@ class TestRangeSetMirror:
         assert rs.total_size == 0
 
 
+class TestAddSteps:
+    """The dense executor's one taint commit, ``_add_steps``: sequential
+    adds with per-step reports and the extent its mask patch relies on."""
+
+    def test_extent_covers_every_touched_range(self):
+        s = RangeSet(
+            [AddressRange(0, 4), AddressRange(100, 104), AddressRange(300, 304)]
+        )
+        extent, steps = vectorized._add_steps(s, [(3, 10), (98, 99)], 1)
+        # [0,4] merged with [3,10] -> [0,10]; [98,99] adjacent to [100,104]
+        # -> [98,104]; [300,304] untouched.
+        assert extent == (0, 104)
+        assert steps == [(21, 3), (23, 3)]
+        assert list(s) == [
+            AddressRange(0, 10),
+            AddressRange(98, 104),
+            AddressRange(300, 304),
+        ]
+
+    def test_coloured_add_reports_per_step_counts(self):
+        # One add spanning two gapped differently-masked ranges raises
+        # the range count by 3 (splits at both colour boundaries) — no
+        # static per-add budget bounds this, which is why the executor's
+        # high-water bookkeeping folds the per-step counts.
+        from repro.core.colours import ColourRangeSet
+
+        imei, gps, sms = 0b001, 0b010, 0b100
+        crs = ColourRangeSet()
+        crs.add(AddressRange(1, 1), imei)
+        crs.add(AddressRange(3, 3), gps)
+        extent, steps = vectorized._add_steps(crs, [(0, 4)], sms)
+        assert extent == (0, 4)
+        assert steps == [(5, 5)]
+        assert list(crs.items()) == [
+            (0, 0, sms),
+            (1, 1, imei | sms),
+            (2, 2, sms),
+            (3, 3, gps | sms),
+            (4, 4, sms),
+        ]
+
+
 class TestKernelMechanics:
     def test_skip_accounts_counters_exactly(self):
         stream = untainted_stream(2000)
