@@ -826,12 +826,16 @@ def cmd_serve(args) -> int:
             where.append(
                 f"metrics http://{args.host}:{server.metrics_port}/metrics"
             )
-        print(
+        # One write call: with unbuffered stderr, print() writes the
+        # newline separately, and a supervisor polling a log that shares
+        # this file offset can seek back between the two writes, so the
+        # newline overwrites the line's first byte.
+        sys.stderr.write(
             f"pift-serve ready ({', '.join(where)}; "
             f"workers={args.workers}, colours={args.colours}, "
-            f"policy={args.policy}, capacity={args.capacity})",
-            file=sys.stderr, flush=True,
+            f"policy={args.policy}, capacity={args.capacity})\n"
         )
+        sys.stderr.flush()
         await server.run_until_shutdown()
 
     asyncio.run(run())

@@ -144,7 +144,7 @@ class BufferedPIFT:
             absent the event path is byte-identical to a fault-free
             build — the faulted variant is only *bound over*
             ``on_memory_event`` (as an instance attribute) when a plan
-            is supplied, mirroring the telemetry shadow-method pattern.
+            is supplied.
         telemetry: optional :class:`~repro.telemetry.Telemetry` hub.
         on_backpressure: optional callback invoked with ``True`` when the
             FIFO crosses the high watermark and ``False`` when it falls

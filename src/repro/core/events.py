@@ -116,8 +116,8 @@ class EventColumns:
 
     Columns decoded straight off the wire (``repro serve``) carry no
     :class:`MemoryAccess` objects: pass ``events=None`` and
-    :attr:`events` materialises them on first use, for the per-event
-    consumers (a telemetry-shadowed tracker, a fault injector).
+    :attr:`events` materialises them on first use, for per-event
+    consumers such as a fault injector.
     """
 
     __slots__ = ("_events", "is_loads", "ranges", "indices", "pids", "_arrays")

@@ -72,8 +72,7 @@ class PIFTHardwareModule:
             record_timeline=record_timeline,
             telemetry=telemetry,
         )
-        # Fault injection mirrors the telemetry shadow-method pattern:
-        # the faulted variant is bound over ``on_memory_event`` as an
+        # The faulted variant is bound over ``on_memory_event`` as an
         # instance attribute only when a plan is supplied, so the
         # fault-free event path stays byte-identical.
         self._injector = None

@@ -178,9 +178,6 @@ class _WindowState:
     #: ``stats.instructions_observed`` is the *sum* of these, never a
     #: single global high-water mark.
     instructions_retired: int = 0
-    #: Telemetry-only bookkeeping: has a window_open event been emitted for
-    #: the currently live window?  Never touched when telemetry is off.
-    telemetry_open: bool = False
     #: Colour mask carried by the live window (the OR of the masks of
     #: every tainted range the window-opening load overlapped).  Single-bit
     #: states report a hit as ``True`` and ignore the mask on ``add``.
@@ -188,16 +185,25 @@ class _WindowState:
 
 
 class _TrackerInstruments:
-    """Bound metric handles, resolved once so the hot path skips registry
-    lookups.  Built only when the tracker has an active telemetry hub."""
+    """Bound metric handles plus the counts already exported.  Built only
+    when the tracker has an active telemetry hub.
+
+    The tracker's public entry points end by calling :meth:`publish`,
+    which exports the :class:`TrackerStats` deltas since the previous
+    publish; the executors themselves carry no telemetry code, so a
+    tracker runs the same dispatcher, kernel and scalar loop with or
+    without a hub.
+    """
 
     __slots__ = (
-        "events", "loads", "stores", "tainted_loads", "taint_ops",
-        "untaint_ops", "windows_opened", "windows_closed", "sources",
-        "checks", "tainted_bytes", "range_count",
+        "telemetry", "events", "loads", "stores", "tainted_loads",
+        "taint_ops", "untaint_ops", "sources", "checks", "tainted_bytes",
+        "range_count", "_loads", "_stores", "_tainted_loads", "_taints",
+        "_untaints",
     )
 
     def __init__(self, telemetry: "Telemetry") -> None:
+        self.telemetry = telemetry
         m = telemetry.metrics
         self.events = m.counter("tracker.events", "memory events observed")
         self.loads = m.counter("tracker.loads", "load events observed")
@@ -211,12 +217,6 @@ class _TrackerInstruments:
         self.untaint_ops = m.counter(
             "tracker.untaint_ops", "effective untaint operations"
         )
-        self.windows_opened = m.counter(
-            "tracker.windows_opened", "tainting windows opened"
-        )
-        self.windows_closed = m.counter(
-            "tracker.windows_closed", "tainting windows closed"
-        )
         self.sources = m.counter("tracker.sources", "source ranges registered")
         self.checks = m.counter("tracker.checks", "sink-range taint queries")
         self.tainted_bytes = m.gauge(
@@ -224,6 +224,55 @@ class _TrackerInstruments:
         )
         self.range_count = m.gauge(
             "tracker.range_count", "current taint-state range count"
+        )
+        self.rebase(TrackerStats())
+
+    def rebase(self, stats: TrackerStats) -> None:
+        """Count ``stats`` as already exported (fresh, reset or restored
+        stats), so a publish never exports a negative or a donor's delta."""
+        self._loads = stats.loads_observed
+        self._stores = stats.stores_observed
+        self._tainted_loads = stats.tainted_loads
+        self._taints = stats.taint_operations
+        self._untaints = stats.untaint_operations
+
+    def publish(self, tracker: "PIFTTracker", mutated: bool = False) -> None:
+        """Export the stats deltas since the last publish.
+
+        The size gauges move only when the taint state changed (a taint,
+        an untaint, or a ``mutated`` source registration): each is raised
+        to the tracker's high-water mark, then set to its current value.
+        """
+        stats = tracker.stats
+        loads = stats.loads_observed - self._loads
+        stores = stats.stores_observed - self._stores
+        taints = stats.taint_operations - self._taints
+        untaints = stats.untaint_operations - self._untaints
+        self.events.inc(loads + stores)
+        self.loads.inc(loads)
+        self.stores.inc(stores)
+        self.tainted_loads.inc(stats.tainted_loads - self._tainted_loads)
+        self.taint_ops.inc(taints)
+        self.untaint_ops.inc(untaints)
+        if mutated or taints or untaints:
+            self.tainted_bytes.set(stats.max_tainted_bytes)
+            self.tainted_bytes.set(tracker.tainted_bytes)
+            self.range_count.set(stats.max_range_count)
+            self.range_count.set(tracker.range_count)
+        self.rebase(stats)
+
+    def source(
+        self, tracker: "PIFTTracker", address_range: AddressRange, pid: int
+    ) -> None:
+        """Count one source registration and log its ``source_taint``."""
+        self.sources.inc()
+        self.publish(tracker, mutated=True)
+        self.telemetry.event(
+            "source_taint",
+            pid=pid,
+            index=tracker.stats.instructions_observed,
+            start=address_range.start,
+            size=address_range.size,
         )
 
 
@@ -244,13 +293,16 @@ class PIFTTracker:
         record_timeline: when True, every taint/untaint operation appends a
             :class:`TimelinePoint` (needed for the Figure 15/16 curves;
             off by default to keep tracking cheap).
-        telemetry: optional :class:`~repro.telemetry.Telemetry` hub.  When
-            absent (or disabled) the observe loop is untouched — the
-            instrumented variants are only *bound over* ``observe`` /
-            ``taint_source`` / ``check`` (as instance attributes) when a
-            live hub is supplied, so the disabled path costs nothing.
-            When active, per-event counters, taint-state gauges, and
-            per-mutation JSONL events are recorded.
+        telemetry: optional :class:`~repro.telemetry.Telemetry` hub.  It
+            never changes which code runs: :meth:`observe`,
+            :meth:`observe_columns` (so :meth:`run`), :meth:`taint_source`
+            and :meth:`check` each end with one hook that, with a live
+            hub, publishes the ``tracker.*`` counter deltas and
+            taint-state gauges of that call.  The JSONL stream gets one
+            ``source_taint`` event per registration.  The forced-strategy
+            hooks :meth:`observe_columns_scalar` and
+            :meth:`observe_columns_vectorized` do not publish; their counts
+            reach the hub with the next publishing call.
     """
 
     def __init__(
@@ -272,14 +324,9 @@ class PIFTTracker:
         #: tracker's routing does not depend on a previous run.
         self._dense_churn_streak = 0
         self._record_timeline = record_timeline
-        self._tel: Optional["Telemetry"] = None
         self._instruments: Optional[_TrackerInstruments] = None
         if telemetry is not None and telemetry.enabled:
-            self._tel = telemetry
             self._instruments = _TrackerInstruments(telemetry)
-            self.observe = self._observe_with_telemetry
-            self.taint_source = self._taint_source_with_telemetry
-            self.check = self._check_with_telemetry
 
     # -- taint state access ------------------------------------------------
 
@@ -293,11 +340,14 @@ class PIFTTracker:
     def taint_source(self, address_range: AddressRange, pid: int = 0) -> None:
         """Source registration: mark ``address_range`` sensitive (Figure 3)."""
         self.state(pid).add(address_range)
-        self._after_mutation(pid, instruction_index=self.stats.instructions_observed)
+        self._registered(address_range, pid)
 
     def check(self, address_range: AddressRange, pid: int = 0) -> bool:
         """Sink query: is any byte of ``address_range`` tainted?"""
-        return self.state(pid).overlaps(address_range)
+        tainted = self.state(pid).overlaps(address_range)
+        if self._instruments is not None:
+            self._instruments.checks.inc()
+        return tainted
 
     def reset(self) -> None:
         """Clear windows, taint states, and stats for reuse across runs.
@@ -310,6 +360,8 @@ class PIFTTracker:
         self._windows.clear()
         self.stats = TrackerStats()
         self._dense_churn_streak = 0
+        if self._instruments is not None:
+            self._instruments.rebase(self.stats)
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -337,7 +389,6 @@ class PIFTTracker:
                     "last_tainted_load": window.last_tainted_load,
                     "propagations": window.propagations,
                     "instructions_retired": window.instructions_retired,
-                    "telemetry_open": window.telemetry_open,
                 }
                 for pid, window in self._windows.items()
             },
@@ -368,9 +419,10 @@ class PIFTTracker:
                 last_tainted_load=None if last is None else int(last),
                 propagations=int(payload["propagations"]),
                 instructions_retired=int(payload.get("instructions_retired", 0)),
-                telemetry_open=bool(payload["telemetry_open"]),
             )
         self.stats = TrackerStats.from_dict(snapshot["stats"])
+        if self._instruments is not None:
+            self._instruments.rebase(self.stats)
         # Churn hysteresis is execution-strategy state, deliberately
         # absent from snapshots (like ``vectorized``); start it fresh so
         # routing after a restore does not inherit the donor's history.
@@ -439,6 +491,8 @@ class PIFTTracker:
                     state.remove(event.address_range)
                     self.stats.untaint_operations += 1
                     self._after_mutation(event.pid, k)
+        if self._instruments is not None:
+            self._instruments.publish(self)
 
     def run(self, events: Iterable[MemoryAccess]) -> TrackerStats:
         """Feed a whole event stream through :meth:`observe_columns`.
@@ -465,11 +519,9 @@ class PIFTTracker:
     ) -> None:
         """Algorithm 1 over a pre-encoded column slice (``[start, stop)``).
 
-        Dispatches between three observationally identical strategies
+        Dispatches between two observationally identical strategies
         (parity-tested in ``tests/property/test_batch_parity.py``):
 
-        * a live telemetry hub binds a shadow over ``observe`` — fall
-          back to per-event calls so instrumentation stays exact;
         * the vectorised pre-filter kernel (:mod:`repro.core.vectorized`)
           when ``config.vectorized`` is on, the slice is long enough to
           amortise the numpy setup, and the taint backend is an
@@ -479,11 +531,6 @@ class PIFTTracker:
           calls would change behaviour);
         * the scalar loop (:meth:`observe_columns_scalar`) otherwise.
         """
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
         if stop is None:
             stop = len(columns)
         if (
@@ -493,8 +540,10 @@ class PIFTTracker:
             and vectorized.HAVE_NUMPY
         ):
             vectorized.observe_columns(self, columns, start, stop)
-            return
-        self.observe_columns_scalar(columns, start, stop)
+        else:
+            self.observe_columns_scalar(columns, start, stop)
+        if self._instruments is not None:
+            self._instruments.publish(self)
 
     def observe_columns_vectorized(
         self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
@@ -522,11 +571,6 @@ class PIFTTracker:
         timeline) matches :meth:`_after_mutation` exactly.  The
         vectorised kernel drops into this loop around relevant events.
         """
-        if "observe" in self.__dict__:
-            observe = self.observe
-            for event in columns.events[start:stop]:
-                observe(event)
-            return
         if stop is None:
             stop = len(columns)
         window_size = self.config.window_size
@@ -621,109 +665,15 @@ class PIFTTracker:
             stats.max_tainted_bytes = max_tainted
             stats.max_range_count = max_ranges
 
-    # -- telemetry shadow methods ---------------------------------------
-    #
-    # Bound over the plain methods (as instance attributes) only when a
-    # live telemetry hub is attached.  They delegate to the unmodified
-    # Algorithm-1 code above and derive what happened from the stats
-    # deltas, so the algorithm exists exactly once and the disabled hot
-    # path carries no telemetry branches at all.
-
-    def _observe_with_telemetry(self, event: MemoryAccess) -> None:
-        stats = self.stats
-        before_tainted_loads = stats.tainted_loads
-        before_taints = stats.taint_operations
-        before_untaints = stats.untaint_operations
-        type(self).observe(self, event)
-        ins = self._instruments
-        ins.events.inc()
-        k = event.instruction_index
-        window = self._windows[event.pid]
-        if event.is_load:
-            ins.loads.inc()
-            if stats.tainted_loads != before_tainted_loads:
-                ins.tainted_loads.inc()
-                if not window.telemetry_open:
-                    window.telemetry_open = True
-                    ins.windows_opened.inc()
-                    self._tel.event(
-                        "window_open",
-                        pid=event.pid,
-                        index=k,
-                        start=event.address_range.start,
-                        size=event.address_range.size,
-                    )
-            return
-        ins.stores.inc()
-        mutated = True
-        if stats.taint_operations != before_taints:
-            ins.taint_ops.inc()
-            self._tel.event(
-                "taint",
-                pid=event.pid,
-                index=k,
-                start=event.address_range.start,
-                size=event.address_range.size,
-                propagation=window.propagations,
-            )
-        elif stats.untaint_operations != before_untaints:
-            ins.untaint_ops.inc()
-            self._tel.event(
-                "untaint",
-                pid=event.pid,
-                index=k,
-                start=event.address_range.start,
-                size=event.address_range.size,
-            )
-        else:
-            mutated = False
-        in_window = (
-            window.last_tainted_load is not None
-            and window.last_tainted_load <= k
-            and k <= window.last_tainted_load + self.config.window_size
-        )
-        if not in_window and window.telemetry_open:
-            # First out-of-window store after a live window: close it.  (A
-            # window can also lapse with no further store; such windows
-            # are only closed — and counted — when store traffic resumes.)
-            window.telemetry_open = False
-            ins.windows_closed.inc()
-            self._tel.event(
-                "window_close",
-                pid=event.pid,
-                index=k,
-                opened_at=window.last_tainted_load,
-                propagations=window.propagations,
-            )
-        if mutated:
-            ins.tainted_bytes.set(self.tainted_bytes)
-            ins.range_count.set(self.range_count)
-
-    def _taint_source_with_telemetry(
-        self, address_range: AddressRange, pid: int = 0, **kwargs
-    ) -> None:
-        # Extra keyword arguments (the coloured tracker's ``colour``)
-        # pass straight through to the real registration.
-        type(self).taint_source(self, address_range, pid=pid, **kwargs)
-        ins = self._instruments
-        ins.sources.inc()
-        ins.tainted_bytes.set(self.tainted_bytes)
-        ins.range_count.set(self.range_count)
-        self._tel.event(
-            "source_taint",
-            pid=pid,
-            index=self.stats.instructions_observed,
-            start=address_range.start,
-            size=address_range.size,
-        )
-
-    def _check_with_telemetry(
-        self, address_range: AddressRange, pid: int = 0
-    ) -> bool:
-        self._instruments.checks.inc()
-        return type(self).check(self, address_range, pid=pid)
-
     # -- bookkeeping -----------------------------------------------------
+
+    def _registered(self, address_range: AddressRange, pid: int) -> None:
+        """Bookkeeping after a source registration (both trackers)."""
+        self._after_mutation(
+            pid, instruction_index=self.stats.instructions_observed
+        )
+        if self._instruments is not None:
+            self._instruments.source(self, address_range, pid)
 
     def _after_mutation(self, pid: int, instruction_index: int) -> None:
         size = self.tainted_bytes
@@ -805,9 +755,7 @@ class ColourTracker(PIFTTracker):
         """
         mask = self.colours.register("source" if colour is None else colour)
         self.state(pid).add(address_range, mask)
-        self._after_mutation(
-            pid, instruction_index=self.stats.instructions_observed
-        )
+        self._registered(address_range, pid)
 
     def check_mask(self, address_range: AddressRange, pid: int = 0) -> int:
         """Sink query: OR of the colour masks overlapping ``address_range``."""

@@ -42,8 +42,9 @@ The kernel is an execution strategy, not a semantics change: it requires
 an unbounded interval-set backend, :class:`~repro.core.ranges.RangeSet` or
 :class:`~repro.core.colours.ColourRangeSet` (bounded hardware models
 mutate on eviction inside ``add`` and may keep LRU state, so skipping
-their queries would change behaviour), and is bypassed entirely when a
-telemetry shadow is bound over ``observe``.
+their queries would change behaviour).  A telemetry hub does not change
+the route: the tracker publishes its counters once per call, after the
+kernel returns.
 """
 
 from __future__ import annotations

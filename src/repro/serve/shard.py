@@ -35,7 +35,10 @@ from repro.core.ranges import AddressRange
 #: One shard key: the (device_id, pid) pair the router hashes on.
 ShardKey = Tuple[str, int]
 
-SHARD_SNAPSHOT_VERSION = 1
+#: Bumped whenever a shard, buffer or tracker snapshot changes shape, so
+#: a snapshot from another build fails with :class:`ShardError` instead of
+#: deep inside ``restore`` (2: tracker windows lost ``telemetry_open``).
+SHARD_SNAPSHOT_VERSION = 2
 
 
 class ShardError(RuntimeError):

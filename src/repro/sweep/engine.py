@@ -158,10 +158,9 @@ def run_cell(
     ``telemetry`` instruments at **cell granularity** only: a
     ``sweep.cell`` span plus tracker counters derived from the replayed
     stats after the fact.  The hub is deliberately *not* passed into
-    ``replay``/``faulted_replay`` — attaching a hub to the tracker binds
-    per-event shadow methods and disables the vectorised column kernel,
-    which would both distort the sweep being observed and flood the
-    relay with per-mutation events.
+    ``replay``/``faulted_replay``: a faulted replay feeds events one at
+    a time through the fault injector, which emits a JSONL event per
+    injection.
     """
     from contextlib import nullcontext
 

@@ -19,8 +19,10 @@ The observability layer for the PIFT stack:
 
 Telemetry is **off by default** everywhere: every instrumented component
 takes ``telemetry=None`` and its hot path degenerates to a single
-``is not None`` branch (measured <5% on the tracker's event loop; see
-``benchmarks/bench_telemetry_overhead.py``).
+``is not None`` branch.  Turning it on never changes which code runs:
+the tracker publishes its counters once per call, so replays keep the
+vectorised kernel (the benchmark's ``telemetry.overhead_ratio`` on
+``malware_replay`` measures what remains).
 """
 
 from repro.telemetry.exporters import (

@@ -12,8 +12,9 @@ zero cost:
   span histograms accumulate in-process; snapshot via :meth:`snapshot`
   or :meth:`prometheus`.
 * **full tracing** — attach a :class:`~repro.telemetry.writer
-  .TelemetryWriter` and every mutation/span/batch also lands in the
-  JSONL event stream.
+  .TelemetryWriter` and spans, source registrations, sink checks,
+  buffer drains, injected faults and sampled CPU batches also land in
+  the JSONL event stream.  Taint mutations are counted, not logged.
 
 The hub is intentionally not global: it is threaded through constructors
 (``AndroidDevice(telemetry=...)``, ``PIFTTracker(telemetry=...)``) so
@@ -128,8 +129,6 @@ class Telemetry:
         m.counter("tracker.tainted_loads", "loads that hit tainted state")
         m.counter("tracker.taint_ops", "in-window store taint operations")
         m.counter("tracker.untaint_ops", "effective untaint operations")
-        m.counter("tracker.windows_opened", "tainting windows opened")
-        m.counter("tracker.windows_closed", "tainting windows closed")
         m.counter("tracker.sources", "source ranges registered")
         m.counter("tracker.checks", "sink-range taint queries")
         m.gauge("tracker.tainted_bytes", "current tainted bytes")

@@ -7,11 +7,10 @@ dot is the metric *family* (``tracker.taint_ops`` belongs to family
 ``tracker``), which groups related instruments in snapshots and lets the
 CLI assert whole subsystems reported in.
 
-When telemetry is disabled nothing here runs at all: batch-level
-components hold ``None`` instead of a hub and skip their hooks with a
-single ``is not None`` test, while the tracker hot path goes further and
-binds instrumented method variants only when a hub is attached (see
-:mod:`repro.telemetry.hub` and ``repro.core.tracker``).  The ``Null*``
+When telemetry is disabled nothing here runs at all: components hold
+``None`` instead of a hub (or instruments) and skip their hooks with a
+single ``is not None`` test (see :mod:`repro.telemetry.hub`); the
+tracker's hook runs once per call, not per event.  The ``Null*``
 classes exist for code that wants an instrument object unconditionally —
 every method is a no-op ``pass``.
 """

@@ -7,9 +7,8 @@ is the channel that ships them home:
 * **worker side** — :func:`init_worker_telemetry` (called from the pool
   initializer) builds a private :class:`~repro.telemetry.hub.Telemetry`
   hub per worker whose writer is a :class:`RelayWriter`: selected event
-  types (spans, cell markers — never per-mutation tracker events, which
-  would both flood the queue and disable the vectorised kernel) are
-  batched by a :class:`RelayClient` and shipped over a
+  types (spans and cell markers; per-event types would flood the queue)
+  are batched by a :class:`RelayClient` and shipped over a
   ``multiprocessing`` queue with **non-blocking** puts — a full queue
   never stalls a worker, it just drops the batch and counts it.  A
   daemon heartbeat thread reports liveness (and the cell currently being
@@ -41,7 +40,7 @@ from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import MetricsRegistry, labeled_name
 
 #: Event types a worker ships by default.  Deliberately narrow: spans and
-#: cell markers are per-cell volume; per-mutation tracker/fault events
+#: cell markers are per-cell volume; per-event fault and CPU-batch events
 #: are represented by the metric snapshot instead.
 DEFAULT_SHIP_TYPES: FrozenSet[str] = frozenset(
     {"span", "cell_start", "cell_end", "worker_start"}
@@ -247,7 +246,7 @@ class RelayClient:
 class RelayWriter:
     """Hub writer that forwards whitelisted events to a :class:`RelayClient`.
 
-    Everything else (per-mutation tracker events, CPU batches) returns
+    Everything else (fault injections, CPU batches) returns
     immediately — those stay metric-only worker-side, keeping the hot
     path untouched and the queue volume bounded by cells, not events.
     """

@@ -2,8 +2,8 @@
 
 Every event is one self-describing JSON object per line::
 
-    {"seq": 17, "t": 0.004512, "type": "taint", "pid": 0, "index": 912,
-     "start": 1074003968, "size": 4}
+    {"seq": 17, "t": 0.004512, "type": "source_taint", "pid": 0,
+     "index": 912, "start": 1074003968, "size": 4}
 
 ``seq`` is a writer-local sequence number and ``t`` the monotonic time in
 seconds since the writer was opened, so traces are diffable across runs

@@ -4,7 +4,7 @@ observationally identical to per-event ``observe``.
 Three-way parity over random multi-PID streams — per-event ``observe``
 == scalar ``observe_columns_scalar`` == the numpy pre-filter kernel
 (``observe_columns_vectorized``) — on stats, taint state, timeline,
-untainting on and off, and with the telemetry shadow fallback live."""
+untainting on and off, and with a live telemetry hub."""
 
 import json
 
@@ -73,6 +73,27 @@ def fingerprint(tracker: PIFTTracker) -> str:
     )
 
 
+def tiled(raw, length):
+    """``raw`` materialised and repeated to at least ``length`` events,
+    with strictly increasing per-PID indices so the stream stays
+    well-formed while crossing the dispatch threshold."""
+    base = materialise(raw)
+    stream = []
+    offset = 0
+    while len(stream) < length:
+        for event in base:
+            stream.append(
+                MemoryAccess(
+                    event.kind,
+                    event.address_range,
+                    event.instruction_index + offset,
+                    event.pid,
+                )
+            )
+        offset += max(e.instruction_index for e in base) + 1
+    return stream
+
+
 def run_serial(config, stream, telemetry=None, record_timeline=False):
     tracker = PIFTTracker(
         config, record_timeline=record_timeline, telemetry=telemetry
@@ -134,8 +155,8 @@ def test_batch_accepts_every_input_shape(raw, config):
 @given(st.lists(events, max_size=60), configs)
 @settings(max_examples=50, deadline=None)
 def test_batch_equals_per_event_under_telemetry(raw, config):
-    """A live hub rebinds observe(); the batch path must detect the
-    shadow method, fall back, and still match per-event byte-for-byte."""
+    """With a live hub the batch path still matches per-event
+    byte-for-byte, and both hubs export the same snapshot."""
     from repro.telemetry import Telemetry
 
     stream = materialise(raw)
@@ -191,22 +212,7 @@ def test_dispatcher_parity_on_long_streams(raw, config, seed_shift):
 
     from repro.core.tracker import _VECTORIZED_MIN_EVENTS
 
-    base = materialise(raw)
-    stream = []
-    # Tile with strictly increasing per-PID indices so the stream stays
-    # well-formed while crossing the dispatch threshold.
-    offset = 0
-    while len(stream) < _VECTORIZED_MIN_EVENTS + seed_shift:
-        for event in base:
-            stream.append(
-                MemoryAccess(
-                    event.kind,
-                    event.address_range,
-                    event.instruction_index + offset,
-                    event.pid,
-                )
-            )
-        offset += max(e.instruction_index for e in base) + 1
+    stream = tiled(raw, _VECTORIZED_MIN_EVENTS + seed_shift)
     on = run_batched(
         replace(config, vectorized=True), stream,
         encode=EventColumns.from_events,
@@ -218,27 +224,52 @@ def test_dispatcher_parity_on_long_streams(raw, config, seed_shift):
     assert fingerprint(on) == fingerprint(off)
 
 
-@given(st.lists(events, max_size=60), configs)
-@settings(max_examples=50, deadline=None)
-def test_vectorized_config_with_telemetry_falls_back(raw, config):
-    """``config.vectorized=True`` plus a live hub must take the exact
-    per-event fallback: fingerprints AND telemetry snapshots match the
-    per-event run."""
+@given(st.lists(events, min_size=1, max_size=40), configs, st.integers(0, 7))
+@settings(max_examples=75, deadline=None)
+def test_telemetry_hub_keeps_results_and_counts(raw, config, seed_shift):
+    """A live hub changes neither the route nor the result.
+
+    On streams long enough to enter the kernel, per-event ``observe``
+    with a hub, ``run()`` with a hub and ``run()`` without one agree;
+    both hubs export byte-identical ``tracker`` families whose counters
+    are the run's :class:`TrackerStats`."""
     from dataclasses import replace
 
+    from repro.core.tracker import _VECTORIZED_MIN_EVENTS
     from repro.telemetry import Telemetry
 
-    stream = materialise(raw)
+    stream = tiled(raw, _VECTORIZED_MIN_EVENTS + seed_shift)
     config = replace(config, vectorized=True)
     serial_hub, batch_hub = Telemetry(), Telemetry()
     serial = run_serial(config, stream, telemetry=serial_hub)
     batched = run_batched(
         config, stream, telemetry=batch_hub, encode=EventColumns.from_events
     )
-    assert fingerprint(batched) == fingerprint(serial)
-    assert json.dumps(batch_hub.snapshot(), sort_keys=True) == json.dumps(
-        serial_hub.snapshot(), sort_keys=True
+    bare = run_batched(config, stream, encode=EventColumns.from_events)
+    assert fingerprint(serial) == fingerprint(batched) == fingerprint(bare)
+    family = serial_hub.snapshot()["tracker"]
+    assert json.dumps(family, sort_keys=True) == json.dumps(
+        batch_hub.snapshot()["tracker"], sort_keys=True
     )
+    stats = bare.stats
+    assert {
+        name: family[f"tracker.{name}"]["value"]
+        for name in ("events", "loads", "stores", "tainted_loads",
+                     "taint_ops", "untaint_ops", "sources", "checks")
+    } == {
+        "events": stats.loads_observed + stats.stores_observed,
+        "loads": stats.loads_observed,
+        "stores": stats.stores_observed,
+        "tainted_loads": stats.tainted_loads,
+        "taint_ops": stats.taint_operations,
+        "untaint_ops": stats.untaint_operations,
+        "sources": 2,
+        "checks": len(CHECKS),
+    }
+    assert family["tracker.tainted_bytes"]["max"] == stats.max_tainted_bytes
+    assert family["tracker.range_count"]["max"] == stats.max_range_count
+    assert family["tracker.tainted_bytes"]["value"] == bare.tainted_bytes
+    assert family["tracker.range_count"]["value"] == bare.range_count
 
 
 # -- adversarial index streams -----------------------------------------

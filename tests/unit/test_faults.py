@@ -303,12 +303,15 @@ class TestOverflowPolicies:
     def test_spill_drains_in_fifo_order(self):
         buffered = self.fill(OverflowPolicy.SPILL, n=40)
         seen = []
-        original_observe = buffered.tracker.observe
-        buffered.tracker.observe = lambda e: (
-            seen.append(e.instruction_index), original_observe(e)
-        )[1]
+        original = buffered.tracker.observe_columns
+
+        def record(columns, lo, hi):
+            seen.extend(columns.indices[lo:hi])
+            original(columns, lo, hi)
+
+        buffered.tracker.observe_columns = record
         buffered.drain_all()
-        assert seen == sorted(seen)
+        assert seen == list(range(40))
 
     def test_block_stats_unchanged_from_seed_behaviour(self):
         """BLOCK with default watermarks reproduces the historical

@@ -221,6 +221,23 @@ class TestShardSnapshotValidation:
         with pytest.raises(ShardError, match="version"):
             self.make_shard().restore(snapshot)
 
+    def test_rejects_previous_tracker_shape(self):
+        """A version-1 snapshot (tracker windows carrying the retired
+        ``telemetry_open`` flag) fails the version check, not restore."""
+        shard = self.make_shard()
+        shard.register_source(SRC)
+        shard.ingest(EventColumns.from_events(leaky_events(rounds=2)))
+        shard.buffered.drain_all()
+        snapshot = json.loads(json.dumps(shard.snapshot()))
+        windows = snapshot["buffered"]["tracker"]["windows"]
+        assert windows
+        for window in windows.values():
+            assert "telemetry_open" not in window
+            window["telemetry_open"] = False
+        snapshot["version"] = 1
+        with pytest.raises(ShardError, match="version 1"):
+            self.make_shard().restore(snapshot)
+
     def test_rejects_wrong_key(self):
         snapshot = self.make_shard(key=("dev-a", 0)).snapshot()
         with pytest.raises(ShardError, match="dev-a"):

@@ -280,6 +280,14 @@ def _workload():
     return events
 
 
+def _tracker_counters(telemetry):
+    return {
+        name: metric["value"]
+        for name, metric in telemetry.snapshot()["tracker"].items()
+        if metric["kind"] == "counter"
+    }
+
+
 class TestTrackerParity:
     def test_stats_identical_with_telemetry_on_and_off(self):
         config = PIFTConfig(13, 3)
@@ -298,29 +306,36 @@ class TestTrackerParity:
         assert len(read_events(buffer)) > 0  # telemetry did actually fire
 
     def test_event_stream_mirrors_stats(self):
+        """Counters carry the stats; the JSONL stream carries one
+        ``source_taint`` per registration and no per-mutation events."""
         buffer = io.StringIO()
         telemetry = Telemetry(writer=TelemetryWriter(buffer))
         tracker = PIFTTracker(PIFTConfig(13, 3), telemetry=telemetry)
         tracker.taint_source(AddressRange(0, 3))
         tracker.run(_workload())
+        tracker.check(AddressRange(1000, 1200))
         telemetry.close()
-        events = read_events(buffer)
-        by_type = {}
-        for event in events:
-            by_type.setdefault(event["type"], []).append(event)
-        assert len(by_type["taint"]) == tracker.stats.taint_operations
-        assert len(by_type["untaint"]) == tracker.stats.untaint_operations
-        assert len(by_type["source_taint"]) == 1
-        assert len(by_type["window_open"]) >= 1
-        tracker_metrics = telemetry.snapshot()["tracker"]
-        assert (
-            tracker_metrics["tracker.events"]["value"]
-            == tracker.stats.loads_observed + tracker.stats.stores_observed
-        )
-        assert (
-            tracker_metrics["tracker.taint_ops"]["value"]
-            == tracker.stats.taint_operations
-        )
+        (event,) = read_events(buffer)
+        assert event["type"] == "source_taint"
+        fields = ("pid", "index", "start", "size")
+        assert [event[name] for name in fields] == [0, 0, 0, 4]
+        stats = tracker.stats
+        assert stats.taint_operations and stats.untaint_operations
+        assert _tracker_counters(telemetry) == {
+            "tracker.events": stats.loads_observed + stats.stores_observed,
+            "tracker.loads": stats.loads_observed,
+            "tracker.stores": stats.stores_observed,
+            "tracker.tainted_loads": stats.tainted_loads,
+            "tracker.taint_ops": stats.taint_operations,
+            "tracker.untaint_ops": stats.untaint_operations,
+            "tracker.sources": 1,
+            "tracker.checks": 1,
+        }
+        family = telemetry.snapshot()["tracker"]
+        assert family["tracker.tainted_bytes"]["max"] == stats.max_tainted_bytes
+        assert family["tracker.tainted_bytes"]["value"] == tracker.tainted_bytes
+        assert family["tracker.range_count"]["max"] == stats.max_range_count
+        assert family["tracker.range_count"]["value"] == tracker.range_count
 
     def test_disabled_tracker_has_seed_methods(self):
         tracker = PIFTTracker(PIFTConfig(13, 3))
@@ -334,13 +349,50 @@ class TestTrackerParity:
         tracker = PIFTTracker(PIFTConfig(13, 3), telemetry=telemetry)
         tracker.taint_source(AddressRange(0, 3))
         tracker.run(_workload())
-        assert tracker.stats.instructions_observed > 0
+        first = tracker.stats
         tracker.reset()
         assert tracker.stats.instructions_observed == 0
         assert tracker.tainted_bytes == 0
         assert tracker.range_count == 0
-        # Wiring survives: instrumented observe is still bound.
-        assert "observe" in tracker.__dict__
+        # A shorter second run: measured against the first run's counts
+        # its deltas would be negative, which a counter rejects.
+        tracker.taint_source(AddressRange(0, 3))
+        tracker.run(_workload()[:10])
+        second = tracker.stats
+        counters = _tracker_counters(telemetry)
+        assert counters["tracker.events"] == (
+            first.loads_observed + first.stores_observed
+            + second.loads_observed + second.stores_observed
+        )
+        assert counters["tracker.taint_ops"] == (
+            first.taint_operations + second.taint_operations
+        )
+        assert counters["tracker.untaint_ops"] == (
+            first.untaint_operations + second.untaint_operations
+        )
+        assert counters["tracker.sources"] == 2
+        assert not {"observe", "taint_source", "check"} & set(tracker.__dict__)
+
+    def test_restore_counts_only_own_events(self):
+        donor = PIFTTracker(PIFTConfig(13, 3))
+        donor.taint_source(AddressRange(0, 3))
+        donor.run(_workload())
+        telemetry = Telemetry()
+        heir = PIFTTracker(PIFTConfig(13, 3), telemetry=telemetry)
+        heir.restore(donor.snapshot())
+        # A tainted load, then one in-window store: one taint.
+        heir.run([load(0, 3, 130), store(4000, 4003, 131), load(9, 9, 132)])
+        assert heir.stats.loads_observed > 2  # the donor's counts live on
+        assert _tracker_counters(telemetry) == {
+            "tracker.events": 3,
+            "tracker.loads": 2,
+            "tracker.stores": 1,
+            "tracker.tainted_loads": 1,
+            "tracker.taint_ops": 1,
+            "tracker.untaint_ops": 0,
+            "tracker.sources": 0,
+            "tracker.checks": 0,
+        }
 
 
 class TestStatsAsDict:

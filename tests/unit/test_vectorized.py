@@ -127,13 +127,17 @@ class TestDispatch:
             )
         )
 
-    def test_telemetry_shadow_stays_per_event(self, monkeypatch):
+    def test_telemetry_hub_keeps_the_kernel(self, monkeypatch):
+        """A live hub does not choose the route: a long slice still
+        enters the kernel, and nothing is bound on the instance."""
         from repro.telemetry import Telemetry
 
+        calls = []
+        real = vectorized.observe_columns
         monkeypatch.setattr(
             vectorized,
             "observe_columns",
-            lambda *a: pytest.fail("kernel used under telemetry shadow"),
+            lambda *a: calls.append(a[2:]) or real(*a),
         )
         tracker = PIFTTracker(
             PIFTConfig(vectorized=True), telemetry=Telemetry()
@@ -141,10 +145,13 @@ class TestDispatch:
         tracker.taint_source(SOURCE)
         tracker.observe_columns(
             EventColumns.from_events(
-                untainted_stream(_VECTORIZED_MIN_EVENTS * 2)
+                untainted_stream(_VECTORIZED_MIN_EVENTS)
             )
         )
-        assert tracker.stats.loads_observed > 0
+        assert calls == [(0, _VECTORIZED_MIN_EVENTS)]
+        assert not {"observe", "taint_source", "check"} & set(
+            tracker.__dict__
+        )
 
     def test_forced_hook_runs_kernel_on_short_slices(self, monkeypatch):
         calls = []
