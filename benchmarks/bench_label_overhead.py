@@ -12,11 +12,10 @@ price is *time* — and this benchmark bounds that price:
    asserted regardless of history: colour masks may not make replay more
    than ~6x slower even on this trace, which is deliberately adversarial
    — four colours round-robin into one shared scratch, so nearly every
-   taint store ORs new bits into covered ranges (mask churn defeats both
-   interval coalescing and the dense executor's absorbed test; measured
-   overhead sits near ~3.5x here vs ~1x on phase-local traces, where one
-   colour dominates at a time and intervals coalesce back to plain-
-   RangeSet structure).
+   taint store ORs new bits into covered ranges (mask churn defeats
+   interval coalescing; measured overhead sits near ~4x here vs ~1x on
+   phase-local traces, where one colour dominates at a time and
+   intervals coalesce back to plain-RangeSet structure).
 2. **Union parity** — the coloured replay's verdict bits must equal the
    plain replay's, cell for cell, on the same trace (the differential
    suite's oracle, re-checked here so the timing claim is about
@@ -55,7 +54,7 @@ GATE_METRIC = "label_overhead_ratio"
 OVERHEAD_FLOOR = 0.15
 
 #: (NI, NT) cells the overhead is summed over — the paper default plus a
-#: wide-window point where bulk dense commits dominate.
+#: wide-window point where in-window taint stores dominate.
 CELLS = ((13, 3), (34, 6))
 
 SOURCE_SIZE = 4_096
@@ -224,8 +223,8 @@ def main(argv=None) -> int:
                              "(default BENCH_history.jsonl)")
     parser.add_argument("--gate", action="store_true",
                         help="fail if the label overhead ratio regressed "
-                             f">{REGRESSION_TOLERANCE:.0%} vs the history "
-                             "baseline (median of prior runs)")
+                             f">{REGRESSION_TOLERANCE * 100:.0f}%% vs the "
+                             "history baseline (median of prior runs)")
     args = parser.parse_args(argv)
 
     overhead = measure_overhead(events=60_000 if args.smoke else 160_000)

@@ -198,9 +198,10 @@ def main(argv=None) -> int:
                              "(default BENCH_history.jsonl)")
     parser.add_argument("--gate", action="store_true",
                         help="fail if the off/on ratio regressed "
-                             f">{REGRESSION_TOLERANCE:.0%} vs the history "
-                             f"baseline or fell below {RATIO_FLOOR:.3f} "
-                             f"({OVERHEAD_BOUND:.0%} overhead)")
+                             f">{REGRESSION_TOLERANCE * 100:.0f}%% vs the "
+                             "history baseline or fell below "
+                             f"{RATIO_FLOOR:.3f} "
+                             f"({OVERHEAD_BOUND * 100:.0f}%% overhead)")
     args = parser.parse_args(argv)
 
     cache = primed_cache()

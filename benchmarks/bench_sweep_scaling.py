@@ -352,8 +352,8 @@ def main(argv=None) -> int:
                              "(default BENCH_history.jsonl)")
     parser.add_argument("--gate", action="store_true",
                         help="fail if the vectorized speedup regressed "
-                             f">{REGRESSION_TOLERANCE:.0%} vs the history "
-                             "baseline (median of prior runs)")
+                             f">{REGRESSION_TOLERANCE * 100:.0f}%% vs the "
+                             "history baseline (median of prior runs)")
     args = parser.parse_args(argv)
 
     cache = primed_cache()

@@ -198,7 +198,8 @@ def main(argv=None) -> int:
                              "(default BENCH_history.jsonl)")
     parser.add_argument("--gate", action="store_true",
                         help="fail if normalized tracker throughput "
-                             f"regressed >{perf.REGRESSION_TOLERANCE:.0%} "
+                             "regressed "
+                             f">{perf.REGRESSION_TOLERANCE * 100:.0f}%% "
                              "vs the history baseline (median)")
     args = parser.parse_args(argv)
 

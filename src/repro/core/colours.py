@@ -107,7 +107,6 @@ class ColourRangeSet:
         self._masks: List[int] = []
         self._version: int = 0
         self._np_mirror: Optional[tuple] = None
-        self._np_masks: Optional[tuple] = None
         self._total: int = 0
 
     # -- queries ---------------------------------------------------------
@@ -191,20 +190,6 @@ class ColourRangeSet:
             )
             self._np_mirror = mirror
         return mirror[1], mirror[2]
-
-    def mask_array(self):
-        """``uint64`` numpy mirror of the per-range masks, cache-aligned
-        with :meth:`as_arrays` (same version discipline)."""
-        cached = self._np_masks
-        if cached is None or cached[0] != self._version:
-            import numpy
-
-            cached = (
-                self._version,
-                numpy.asarray(self._masks, dtype=numpy.uint64),
-            )
-            self._np_masks = cached
-        return cached[1]
 
     # -- mutations -------------------------------------------------------
 
@@ -326,21 +311,6 @@ class ColourRangeSet:
         ) - removed
         self._version += 1
 
-    def remove_many(
-        self, items: List[Tuple[int, int]]
-    ) -> List[Tuple[bool, int, int]]:
-        """Untaint each pair in sequence; same per-step
-        ``(effective, total_after, count_after)`` contract as
-        :meth:`repro.core.ranges.RangeSet.remove_many`."""
-        steps: List[Tuple[bool, int, int]] = []
-        for start, end in items:
-            before = self._version
-            self.remove(AddressRange(start, end))
-            steps.append(
-                (self._version != before, self._total, len(self._starts))
-            )
-        return steps
-
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
@@ -393,5 +363,4 @@ class ColourRangeSet:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_np_mirror"] = None
-        state["_np_masks"] = None
         return state

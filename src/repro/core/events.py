@@ -84,26 +84,6 @@ class ColumnArrays:
         self.pids = pids
         self.pid_values = pid_values
 
-    def same_pid_run(self, lo: int, hi: int) -> int:
-        """End of the run of consecutive same-PID events starting at ``lo``.
-
-        Returns the smallest ``j`` in ``(lo, hi]`` such that every event
-        in ``[lo, j)`` shares ``pids[lo]``'s PID and either ``j == hi``
-        or ``pids[j]`` differs.  The dense executor segments the event
-        stream into these runs so window evolution and range-set
-        commits stay per-process, matching the scalar loop's per-PID
-        state exactly.
-        """
-        if len(self.pid_values) == 1:
-            return hi
-        window = self.pids[lo:hi]
-        switches = window != window[0]
-        if not switches.any():
-            return hi
-        import numpy
-
-        return lo + int(numpy.argmax(switches))
-
 
 class EventColumns:
     """A pre-encoded column view of an event stream — the batch fast path.

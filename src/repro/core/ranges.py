@@ -192,14 +192,6 @@ class RangeSet:
     def covers_address(self, address: int) -> bool:
         return self.overlaps(AddressRange(address, address))
 
-    def as_pairs(self) -> List[Tuple[int, int]]:
-        """The stored ranges as plain ``(start, end)`` tuples, in address
-        order — the coverage view shared with the coloured state
-        (:meth:`repro.core.colours.ColourRangeSet.items` drops its masks
-        to this same shape), which is what the colour-parity oracle
-        compares."""
-        return list(zip(self._starts, self._ends))
-
     def as_arrays(self):
         """Sorted ``(starts, ends)`` int64 numpy mirror of the stored ranges.
 
@@ -256,49 +248,6 @@ class RangeSet:
         self._ends[lo:hi] = [end]
         self._total += end - start + 1 - absorbed
         self._version += 1
-
-    def remove_many(
-        self, items: List[Tuple[int, int]]
-    ) -> List[Tuple[bool, int, int]]:
-        """Untaint each ``(start, end)`` pair in sequence, one version bump.
-
-        Exactly equivalent to :meth:`remove` per pair **in order** —
-        order matters for removes, because an earlier untaint can turn a
-        later candidate into a no-op.  Each step reports
-        ``(effective, total_size_after, range_count_after)`` so callers
-        can reproduce the scalar loop's per-mutation high-water
-        bookkeeping (``range_count`` can *rise* when a remove splits a
-        stored range, so per-step values are required for parity).
-        """
-        steps: List[Tuple[bool, int, int]] = []
-        mutated = False
-        for start, end in items:
-            lo = bisect.bisect_left(self._ends, start)
-            hi = bisect.bisect_right(self._starts, end)
-            if lo >= hi:
-                steps.append((False, self._total, len(self._starts)))
-                continue
-            removed = 0
-            for i in range(lo, hi):
-                removed += self._ends[i] - self._starts[i] + 1
-            new_starts: List[int] = []
-            new_ends: List[int] = []
-            if self._starts[lo] < start:
-                new_starts.append(self._starts[lo])
-                new_ends.append(start - 1)
-            if end < self._ends[hi - 1]:
-                new_starts.append(end + 1)
-                new_ends.append(self._ends[hi - 1])
-            self._starts[lo:hi] = new_starts
-            self._ends[lo:hi] = new_ends
-            self._total += sum(
-                e - s + 1 for s, e in zip(new_starts, new_ends)
-            ) - removed
-            mutated = True
-            steps.append((True, self._total, len(self._starts)))
-        if mutated:
-            self._version += 1
-        return steps
 
     def remove(self, item: AddressRange) -> None:
         """Untaint ``item``, splitting stored ranges that straddle it."""

@@ -317,12 +317,6 @@ class PIFTTracker:
         self._states: Dict[int, TaintStateLike] = {}
         self._windows: Dict[int, _WindowState] = {}
         self.stats = TrackerStats()
-        #: Consecutive dense-executor mutation-budget bail-outs
-        #: (churn hysteresis, :mod:`repro.core.vectorized`).  Pure
-        #: execution-strategy state: it never affects semantics, only
-        #: which loop runs, and is cleared on reset/restore so a reused
-        #: tracker's routing does not depend on a previous run.
-        self._dense_churn_streak = 0
         self._record_timeline = record_timeline
         self._instruments: Optional[_TrackerInstruments] = None
         if telemetry is not None and telemetry.enabled:
@@ -359,7 +353,6 @@ class PIFTTracker:
         self._states.clear()
         self._windows.clear()
         self.stats = TrackerStats()
-        self._dense_churn_streak = 0
         if self._instruments is not None:
             self._instruments.rebase(self.stats)
 
@@ -423,10 +416,6 @@ class PIFTTracker:
         self.stats = TrackerStats.from_dict(snapshot["stats"])
         if self._instruments is not None:
             self._instruments.rebase(self.stats)
-        # Churn hysteresis is execution-strategy state, deliberately
-        # absent from snapshots (like ``vectorized``); start it fresh so
-        # routing after a restore does not inherit the donor's history.
-        self._dense_churn_streak = 0
 
     @property
     def instructions_per_pid(self) -> Dict[int, int]:

@@ -125,9 +125,10 @@ def build_v2_run():
 def build_dense_run():
     """Taint-dense single-process run: Algorithm 1 fires on nearly every
     event (a tainted load every 4th event, 8-byte stores into an already
-    tainted working buffer between them).  Nothing is skippable, so this
-    freezes the dense *executor* — the numpy window simulation and bulk
-    range-set commits — against the scalar loop, byte for byte."""
+    tainted working buffer between them).  Nothing is skippable, so the
+    vectorised replay runs it through the kernel's scalar hand-offs and
+    bounded density bail-out; this freezes that path against the scalar
+    loop, byte for byte."""
     rng = random.Random(82_026)
     run = RecordedRun()
     run.sources.append(SourceRegistration(AddressRange(0, 4_095), 0, "imei"))
@@ -159,11 +160,10 @@ def build_dense_prefix_run():
     """Taint/untaint churn prefix, then a long sparse tail.
 
     Each prefix triple taints a fresh range in-window then untaints it
-    with an out-of-window overlapping store, so every store is a content
-    mutation: the dense executor's mutation budget trips and the density
-    bail-out engages.  The sparse tail must then re-enter the skip fast
-    path via the bounded re-probe.  Freezes the bail-out + re-probe
-    control flow end to end."""
+    with an out-of-window overlapping store, so every event is relevant
+    and the density bail-out engages.  The sparse tail must then re-enter
+    the skip fast path via the bounded re-probe.  Freezes the bail-out +
+    re-probe control flow end to end."""
     rng = random.Random(47)
     run = RecordedRun()
     run.sources.append(SourceRegistration(AddressRange(0, 15), 0, "imei"))

@@ -322,7 +322,8 @@ def test_three_way_parity_under_regressing_indices(raw, config):
 @settings(max_examples=75, deadline=None)
 def test_adversarial_interleaves_crossing_block_boundaries(raw, config, jitter):
     """Multi-PID regressing interleaves tiled past the classification
-    block size, so skipped runs and dense spans straddle block edges."""
+    block size, so skipped runs and scalar hand-offs straddle block
+    edges."""
     from repro.core.vectorized import BLOCK_MIN
 
     base = materialise_adversarial(raw)

@@ -4,10 +4,9 @@ Two claims lock the colour layer down:
 
 1. **Three-way execution parity** — the coloured tracker's per-event
    ``observe``, scalar ``observe_columns_scalar``, and vectorised
-   ``observe_columns_vectorized`` (whose dense executor builds mask
-   arrays for coloured state) are observationally identical on random
-   multi-source, multi-PID streams: same stats, same interval+mask
-   state, same colour attributions.
+   ``observe_columns_vectorized`` are observationally identical on
+   random multi-source, multi-PID streams: same stats, same
+   interval+mask state, same colour attributions.
 
 2. **Union projection** — collapsing every mask to "non-zero == tainted"
    reproduces the plain single-bit tracker byte for byte: identical
@@ -197,9 +196,8 @@ def test_single_colour_is_byte_identical_to_plain(raw, config):
 @given(st.lists(events, min_size=30, max_size=120), configs)
 @settings(max_examples=50, deadline=None)
 def test_single_colour_three_way_parity(raw, config):
-    """The dense executor's single-colour behaviour is the regression
-    surface the plain goldens freeze — re-check the three-way parity in
-    the degenerate one-colour configuration too."""
+    """A single colour is the configuration the plain goldens freeze —
+    re-check the three-way parity in that degenerate case too."""
     stream = materialise(raw)
     serial = coloured_tracker(config, source_count=1)
     for event in stream:

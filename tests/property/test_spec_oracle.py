@@ -10,10 +10,10 @@ checked.  It imports no ``RangeSet``, ``ColourRangeSet``, numpy or
 
 Hypothesis drives the plain and the coloured tracker through per-event
 ``observe``, ``observe_columns_scalar`` and ``observe_columns_vectorized``
-on multi-PID streams of same-PID bursts (long enough for the dense
-executor) whose per-PID indices can regress, and compares the seven
-``TrackerStats`` counters, ``instructions_observed``, the mask at each
-sink, and the final taint state byte for byte.
+on multi-PID streams of same-PID bursts whose per-PID indices can
+regress, and compares the seven ``TrackerStats`` counters,
+``instructions_observed``, the mask at each sink, and the final taint
+state byte for byte.
 """
 
 from hypothesis import given, settings

@@ -1,4 +1,5 @@
-"""Unit tests for the benchmark history store and perf-regression gate.
+"""Unit tests for the benchmark history store, the perf-regression gate,
+and the gate scripts' ``--help``.
 
 The benchmark itself (``benchmarks/bench_sweep_scaling.py``) is tier-2;
 the bookkeeping it gates CI on — history parsing, the median baseline,
@@ -11,19 +12,31 @@ from pathlib import Path
 
 import pytest
 
-_BENCH = (
-    Path(__file__).parent.parent.parent
-    / "benchmarks"
-    / "bench_sweep_scaling.py"
+_BENCHMARKS = Path(__file__).parent.parent.parent / "benchmarks"
+
+#: Gate scripts whose help text renders a percentage, which argparse
+#: reads as a format character unless it is escaped as ``%%``.
+GATE_SCRIPTS = (
+    "bench_sweep_scaling",
+    "bench_tracker_throughput",
+    "bench_label_overhead",
+    "bench_relay_overhead",
+    "bench_serve_fleet",
 )
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, _BENCHMARKS / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location("bench_sweep_scaling", _BENCH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("bench_sweep_scaling")
 
 
 def write_history(path, speedups):
@@ -92,3 +105,13 @@ class TestGate:
 
     def test_tolerance_constant(self, bench):
         assert bench.REGRESSION_TOLERANCE == 0.25
+
+
+@pytest.mark.parametrize("name", GATE_SCRIPTS)
+def test_help_renders(name, capsys):
+    """``--help`` prints usage and exits 0: a bare ``%`` in a help string
+    would make argparse raise instead."""
+    with pytest.raises(SystemExit) as exited:
+        load_script(name).main(["--help"])
+    assert exited.value.code == 0
+    assert "--gate" in capsys.readouterr().out

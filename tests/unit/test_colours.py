@@ -124,14 +124,6 @@ class TestColourRangeSetRemove:
         assert triples(crs) == [(0, 39, IMEI), (60, 99, GPS)]
         assert crs.total_size == 80
 
-    def test_remove_many_reports_per_step(self):
-        crs = ColourRangeSet()
-        crs.add(AddressRange(0, 99), IMEI)
-        steps = crs.remove_many([(10, 19), (200, 300), (10, 19)])
-        assert [s[0] for s in steps] == [True, False, False]
-        assert steps[0][1] == 90  # total after the split
-        assert steps[0][2] == 2   # split grew the range count
-
     def test_mask_overlapping_unions(self):
         crs = ColourRangeSet()
         crs.add(AddressRange(0, 9), IMEI)
@@ -140,12 +132,11 @@ class TestColourRangeSetRemove:
         assert crs.mask_overlapping(AddressRange(500, 600)) == 0
 
 
-class TestColouredDenseHighWater:
-    """Regression: the dense executor's taint commit on coloured state
-    once guarded per-step ``max_range_count`` bookkeeping with a static
-    +2-per-add budget, but a coloured add spanning k gapped
-    differently-masked ranges raises the count by k+1 — the vectorised
-    run under-recorded the high-water mark the scalar loop saw."""
+class TestColouredRangeCountHighWater:
+    """A coloured add spanning k gapped differently-masked ranges raises
+    the range count by k+1, so no static per-add budget bounds it.  The
+    kernel must record the same ``max_range_count`` high-water mark as
+    the scalar loop."""
 
     def build(self, config):
         tracker = ColourTracker(config)
@@ -175,8 +166,8 @@ class TestColouredDenseHighWater:
             # ranges ([200]c [201]ac [202]c [203]bc [204]c) -> count 6.
             store(200, 204, 3),
         ]
-        # Pad the same-PID run past DENSE_MIN so the dense executor (not
-        # the scalar fallback loop) commits the mutations above.
+        # Pad with loads that touch no taint; they must leave the
+        # high-water mark set above unchanged.
         events += [
             load(10_000 + 16 * i, 10_000 + 16 * i + 3, 4 + i)
             for i in range(60)

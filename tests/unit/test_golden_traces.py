@@ -167,27 +167,6 @@ def test_golden_strategies_bit_identical(name):
     assert runs[True] == runs[False]
 
 
-def test_golden_dense_runs_the_dense_executor(monkeypatch):
-    """``golden_dense_v1`` is taint-dense end to end: the vectorised
-    replay must execute it entirely in the dense numpy path — zero
-    hand-offs to the scalar loop.  Catches silent regressions where the
-    dense executor starts bailing (which would keep parity but lose the
-    whole speedup this regime exists to freeze)."""
-    from repro.core.tracker import PIFTTracker
-
-    recorded = _load("golden_dense_v1")
-    calls = []
-    original = PIFTTracker.observe_columns_scalar
-
-    def counting(self, columns, start=0, stop=None):
-        calls.append((start, stop))
-        return original(self, columns, start, stop)
-
-    monkeypatch.setattr(PIFTTracker, "observe_columns_scalar", counting)
-    replay(recorded, replace(PAPER_DEFAULT, vectorized=True))
-    assert calls == []
-
-
 def test_golden_dense_prefix_trips_and_recovers(monkeypatch):
     """``golden_dense_prefix_v1`` must engage the density bail-out on
     its churn prefix (scalar spans happen) while every span stays

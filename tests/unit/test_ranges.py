@@ -198,47 +198,3 @@ class TestRangeSet:
             [AddressRange(0, 2), AddressRange(3, 5)]
         )
         assert RangeSet([AddressRange(0, 5)]) != RangeSet([AddressRange(0, 6)])
-
-
-class TestBulkMutations:
-    """remove_many: one version bump, content-equivalent to sequential
-    remove() calls, with per-step reports."""
-
-    def test_remove_many_matches_sequential_removes(self):
-        import random
-
-        rng = random.Random(777)
-        for _ in range(50):
-            base = [
-                AddressRange.from_base_size(rng.randrange(0, 300), rng.randint(1, 12))
-                for _ in range(rng.randint(1, 10))
-            ]
-            batch = [
-                (s, s + rng.randint(0, 10))
-                for s in (rng.randrange(0, 300) for _ in range(rng.randint(1, 12)))
-            ]
-            bulk = RangeSet(base)
-            sequential = RangeSet(base)
-            steps = bulk.remove_many(batch)
-            for (s, e), (effective, total_after, count_after) in zip(batch, steps):
-                query = AddressRange(s, e)
-                assert effective == sequential.overlaps(query)
-                sequential.remove(query)
-                assert total_after == sequential.total_size
-                assert count_after == sequential.range_count
-            assert bulk == sequential
-
-    def test_remove_many_reports_split_counts_per_step(self):
-        s = RangeSet([AddressRange(0, 99)])
-        steps = s.remove_many([(10, 19), (50, 59), (200, 300)])
-        # Each split raises the range count; the miss is ineffective.
-        assert steps == [(True, 90, 2), (True, 80, 3), (False, 80, 3)]
-
-    def test_remove_many_single_version_bump(self):
-        s = RangeSet([AddressRange(0, 99)])
-        s.as_arrays()
-        before = s._version
-        s.remove_many([(10, 19), (50, 59)])
-        assert s._version == before + 1
-        s.remove_many([(500, 600)])  # all misses: no bump
-        assert s._version == before + 1

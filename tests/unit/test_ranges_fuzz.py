@@ -95,150 +95,3 @@ def test_rangeset_snapshot_restore_under_fuzz():
     # Restoring does not alias the source's internals.
     clone.add(AddressRange(0, ADDRESS_SPACE + MAX_RANGE + 10))
     assert clone != rangeset
-
-
-# -- batch primitives vs the scalar oracle (hypothesis) ----------------------
-#
-# The dense executor commits taint runs through ``_add_steps`` (one add per
-# store, reporting per-step totals and the touched extent) and untaint runs
-# through ``remove_many``; the parity guarantee of the vectorised kernel
-# rests on both reporting exactly what the scalar add/remove loop the exact
-# tracker runs would see.  These properties drive them against that loop on
-# the same interleavings, including remove-induced splits (range_count can
-# rise on a remove) and batches that straddle the top of the address space.
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.colours import ColourRangeSet
-from repro.core.vectorized import _add_steps
-
-HUGE = (1 << 62)  # overflow edge: far beyond any trace address
-
-pair = st.builds(
-    lambda start, size: (start, start + size),
-    st.one_of(
-        st.integers(0, ADDRESS_SPACE),
-        st.integers(HUGE, HUGE + ADDRESS_SPACE),
-    ),
-    st.integers(0, MAX_RANGE),
-)
-
-batches = st.lists(
-    st.tuples(st.sampled_from(["add", "remove"]), st.lists(pair, max_size=8)),
-    max_size=12,
-)
-
-
-@given(batches)
-@settings(max_examples=150, deadline=None)
-def test_remove_many_matches_interleaved_scalar_oracle(ops):
-    batched = RangeSet()
-    oracle = RangeSet()
-    for op, items in ops:
-        if op == "add":
-            for start, end in items:
-                batched.add(AddressRange(start, end))
-                oracle.add(AddressRange(start, end))
-            continue
-        steps = batched.remove_many(items)
-        assert len(steps) == len(items)
-        for (start, end), step in zip(items, steps):
-            before_version = oracle._version
-            oracle.remove(AddressRange(start, end))
-            effective, total_after, count_after = step
-            assert effective == (oracle._version != before_version)
-            assert total_after == oracle.total_size
-            assert count_after == oracle.range_count
-        assert list(batched) == list(oracle)
-        assert batched.total_size == oracle.total_size
-        assert batched.range_count == oracle.range_count
-
-
-def entries(state):
-    """Stored ranges with their masks (a plain set has none)."""
-    if isinstance(state, ColourRangeSet):
-        return list(state.items())
-    return [(start, end, None) for start, end in state.as_pairs()]
-
-
-def outside(stored, lo, hi):
-    """The byte-level content of ``stored`` outside ``[lo, hi]``: clipped
-    pieces, with equal-mask neighbours coalesced (a coloured add may split
-    a range whose remnant past the extent keeps its bytes and mask)."""
-    pieces = []
-    for start, end, mask in stored:
-        for piece in ((start, min(end, lo - 1)), (max(start, hi + 1), end)):
-            if piece[0] > piece[1]:
-                continue
-            if pieces and pieces[-1][2] == mask and pieces[-1][1] + 1 == piece[0]:
-                pieces[-1] = (pieces[-1][0], piece[1], mask)
-            else:
-                pieces.append((piece[0], piece[1], mask))
-    return pieces
-
-
-@given(batches, st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_add_steps_report_per_step_counts_and_cover_touched_ranges(
-    ops, coloured
-):
-    """``_add_steps`` against sequential adds, plain and coloured: every
-    per-step ``(total_size, range_count)`` matches, and the extent covers
-    every stored range the run touched, so outside it coverage and colour
-    masks are exactly as before (the executor patches cached masks only
-    inside it)."""
-    make = ColourRangeSet if coloured else RangeSet
-    state, oracle = make(), make()
-    for number, (op, items) in enumerate(ops):
-        mask = 1 << (number % 3)
-        if op == "remove" or not items:
-            for start, end in items:
-                state.remove(AddressRange(start, end))
-                oracle.remove(AddressRange(start, end))
-            continue
-        before = entries(state)
-        extent, steps = _add_steps(state, items, mask)
-        assert len(steps) == len(items)
-        for (start, end), (total, count) in zip(items, steps):
-            oracle.add(AddressRange(start, end), mask)
-            assert total == oracle.total_size
-            assert count == oracle.range_count
-        after = entries(state)
-        assert after == entries(oracle)
-        lo, hi = extent
-        for start, end, _ in after:
-            if any(start <= e and s <= end for s, e in items):
-                assert lo <= start and end <= hi  # a touched range
-        assert outside(before, lo, hi) == outside(after, lo, hi)
-
-
-@given(st.lists(pair, min_size=1, max_size=10))
-@settings(max_examples=150, deadline=None)
-def test_remove_many_reports_split_growth(items):
-    """A remove that lands strictly inside a stored range splits it —
-    remove_many's per-step range counts must show the growth, because the
-    tracker's max_range_count high-water is taken per mutation."""
-    rangeset = RangeSet()
-    hull_lo = min(s for s, _ in items)
-    hull_hi = max(e for _, e in items) + 2
-    rangeset.add(AddressRange(hull_lo, hull_hi))
-    interior = [
-        (s + 1, min(e, hull_hi - 1))
-        for s, e in items
-        if s + 1 <= min(e, hull_hi - 1)
-    ]
-    steps = rangeset.remove_many(interior)
-    oracle = RangeSet()
-    oracle.add(AddressRange(hull_lo, hull_hi))
-    for (start, end), (effective, total_after, count_after) in zip(
-        interior, steps
-    ):
-        before_version = oracle._version
-        oracle.remove(AddressRange(start, end))
-        # A repeated interior pair is a no-op the second time around;
-        # what matters is that per-step reports track the oracle exactly.
-        assert effective == (oracle._version != before_version)
-        assert total_after == oracle.total_size
-        assert count_after == oracle.range_count
-    assert list(rangeset) == list(oracle)

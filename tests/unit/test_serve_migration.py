@@ -5,9 +5,8 @@ mid-stream — events still queued, immediate checks still pending — and
 revived elsewhere produces bit-identical verdicts.  These tests pin the
 underlying machinery shard-by-shard: ``BufferedPIFT`` round-trips with a
 non-empty FIFO, pending-verdict reconciliation survives the move,
-``ColourTracker`` masks and colour spaces travel intact, and the
-execution-strategy hysteresis (``_dense_churn_streak``) deliberately
-does *not* travel.
+``ColourTracker`` masks and colour spaces travel intact, and a paused
+reader's backpressure flag travels with the FIFO.
 """
 
 import json
@@ -19,7 +18,7 @@ from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
 from repro.core.events import EventColumns, load, store
 from repro.core.ranges import AddressRange
-from repro.core.tracker import ColourTracker, PIFTTracker
+from repro.core.tracker import ColourTracker
 from repro.serve.shard import ShardError, TrackerShard
 
 CONFIG = PIFTConfig(5, 2)
@@ -146,24 +145,6 @@ class TestPendingVerdictReconciliation:
 
 
 class TestHysteresisAfterRestore:
-    def test_tracker_restore_clears_dense_churn_streak(self):
-        tracker = PIFTTracker(CONFIG)
-        tracker.taint_source(SRC)
-        tracker._dense_churn_streak = 5
-        snapshot = tracker.snapshot()
-        heir = PIFTTracker(CONFIG)
-        heir._dense_churn_streak = 3
-        heir.restore(snapshot)
-        assert heir._dense_churn_streak == 0
-
-    def test_buffered_restore_clears_wrapped_tracker_hysteresis(self):
-        donor = BufferedPIFT(CONFIG, capacity=64, drain_batch=4)
-        donor.taint_source(SRC)
-        donor.tracker._dense_churn_streak = 7
-        heir = BufferedPIFT(CONFIG, capacity=64, drain_batch=4)
-        heir.restore(donor.snapshot())
-        assert heir.tracker._dense_churn_streak == 0
-
     def test_backpressure_flag_travels(self):
         donor = BufferedPIFT(
             CONFIG, capacity=64, drain_batch=4,

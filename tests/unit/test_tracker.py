@@ -222,19 +222,6 @@ class TestMultiProcessAccounting:
         clone.restore(payload)
         assert clone.instructions_per_pid == t.instructions_per_pid
 
-    def test_reset_and_restore_clear_churn_hysteresis(self):
-        # The dense executor's churn streak is execution-strategy state;
-        # leaking it across reset/restore would let a previous run route
-        # the next run's first chunks to the scalar loop.
-        t = PIFTTracker(PIFTConfig(window_size=5, max_propagations=2))
-        assert t._dense_churn_streak == 0
-        t._dense_churn_streak = 3
-        t.reset()
-        assert t._dense_churn_streak == 0
-        t._dense_churn_streak = 3
-        t.restore(t.snapshot())
-        assert t._dense_churn_streak == 0
-
     def test_event_trace_counts_sum_of_per_pid_maxima(self):
         from repro.core.events import EventTrace
 

@@ -3,7 +3,8 @@
 The property suite (``tests/property/test_batch_parity.py``) proves
 observational equivalence on random streams; these tests pin the
 *mechanics* — dispatcher gating, column/interval mirror caching, block
-adaptation, and the dense-trace bail-out — with deterministic traces.
+adaptation, and the bounded density bail-out with its re-probe — with
+deterministic traces.
 """
 
 import pytest
@@ -43,8 +44,8 @@ def churn_stream(count, start_index=0, pid=0):
     With ``window_size=50, max_propagations=1``: each triple is a hit
     load (reopens the window), a store tainting a fresh disjoint range
     (cap reached), then a store over the previous triple's range — past
-    the cap and overlapping, so it untaints.  The dense executor's
-    mutation budget trips immediately, forcing the density bail-out.
+    the cap and overlapping, so it untaints.  Every event is relevant,
+    so the kernel skips nothing and the density bail-out engages.
     """
     out = []
     for i in range(count):
@@ -228,48 +229,6 @@ class TestRangeSetMirror:
         assert rs.total_size == 0
 
 
-class TestAddSteps:
-    """The dense executor's one taint commit, ``_add_steps``: sequential
-    adds with per-step reports and the extent its mask patch relies on."""
-
-    def test_extent_covers_every_touched_range(self):
-        s = RangeSet(
-            [AddressRange(0, 4), AddressRange(100, 104), AddressRange(300, 304)]
-        )
-        extent, steps = vectorized._add_steps(s, [(3, 10), (98, 99)], 1)
-        # [0,4] merged with [3,10] -> [0,10]; [98,99] adjacent to [100,104]
-        # -> [98,104]; [300,304] untouched.
-        assert extent == (0, 104)
-        assert steps == [(21, 3), (23, 3)]
-        assert list(s) == [
-            AddressRange(0, 10),
-            AddressRange(98, 104),
-            AddressRange(300, 304),
-        ]
-
-    def test_coloured_add_reports_per_step_counts(self):
-        # One add spanning two gapped differently-masked ranges raises
-        # the range count by 3 (splits at both colour boundaries) — no
-        # static per-add budget bounds this, which is why the executor's
-        # high-water bookkeeping folds the per-step counts.
-        from repro.core.colours import ColourRangeSet
-
-        imei, gps, sms = 0b001, 0b010, 0b100
-        crs = ColourRangeSet()
-        crs.add(AddressRange(1, 1), imei)
-        crs.add(AddressRange(3, 3), gps)
-        extent, steps = vectorized._add_steps(crs, [(0, 4)], sms)
-        assert extent == (0, 4)
-        assert steps == [(5, 5)]
-        assert list(crs.items()) == [
-            (0, 0, sms),
-            (1, 1, imei | sms),
-            (2, 2, sms),
-            (3, 3, gps | sms),
-            (4, 4, sms),
-        ]
-
-
 class TestKernelMechanics:
     def test_skip_accounts_counters_exactly(self):
         stream = untainted_stream(2000)
@@ -290,26 +249,9 @@ class TestKernelMechanics:
         assert tracker.stats.as_dict() == reference.stats.as_dict()
         assert tracker.instructions_per_pid == reference.instructions_per_pid
 
-    def test_dense_trace_executes_vectorised(self, monkeypatch):
-        # The taint-dense regime that used to bail out wholesale now runs
-        # through the dense executor: window evolution and contained
-        # taint-adds are bulk-committed, with no scalar spans at all.
-        stream = tainting_stream(vectorized.BAILOUT_AFTER * 4)
-        columns = EventColumns.from_events(stream)
-        tracker = make_tracker()
-        monkeypatch.setattr(
-            tracker,
-            "observe_columns_scalar",
-            lambda *a, **k: pytest.fail("scalar loop used on dense trace"),
-        )
-        tracker.observe_columns_vectorized(columns)
-        reference = make_tracker(vectorized_on=False)
-        reference.observe_columns(columns)
-        assert tracker.stats.as_dict() == reference.stats.as_dict()
-
     def test_churn_trace_bails_out_bounded_and_reprobes(self, monkeypatch):
-        # Taint/untaint churn defeats the dense executor (every event is
-        # a content mutation), so the density bail-out engages — but in
+        # Taint/untaint churn leaves nothing to skip (every event is
+        # relevant), so the density bail-out engages — but in
         # bounded REPROBE_EVERY chunks, and once the sparse tail starts
         # the kernel re-probes and regains wholesale skipping.
         prefix = churn_stream(vectorized.BAILOUT_AFTER * 6)
