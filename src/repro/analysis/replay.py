@@ -17,6 +17,7 @@ replay many.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -83,34 +84,32 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
     checks = tuple(
         sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
     )
+    # Instruction indices at which each source/check falls due, each
+    # list closed by an infinite sentinel so the scans need no bounds.
+    source_at = [s.instruction_index for s in sources] + [math.inf]
+    check_at = [c.instruction_index for c in checks] + [math.inf]
     boundaries: List[Tuple[int, int, int]] = []
     source_i = check_i = 0
-    for position, event in enumerate(recorded.trace):
-        upto = event.instruction_index
+    due = min(source_at[0], check_at[0])
+    for position, upto in enumerate(recorded.trace.columns().indices):
+        if upto < due:
+            continue
         sources_due = checks_due = 0
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto
-        ):
+        while source_at[source_i] <= upto:
             sources_due += 1
             source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto
-        ):
+        while check_at[check_i] <= upto:
             checks_due += 1
             check_i += 1
         if sources_due or checks_due:
             boundaries.append((position, sources_due, checks_due))
+        due = min(source_at[source_i], check_at[check_i])
     upto = recorded.instruction_count
     final_sources = final_checks = 0
-    while (
-        source_i < len(sources)
-        and sources[source_i].instruction_index <= upto
-    ):
+    while source_at[source_i] <= upto:
         final_sources += 1
         source_i += 1
-    while check_i < len(checks) and checks[check_i].instruction_index <= upto:
+    while check_at[check_i] <= upto:
         final_checks += 1
         check_i += 1
     return ReplayPlan(

@@ -13,9 +13,9 @@ from __future__ import annotations
 import gzip
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
-from repro.core.events import AccessKind, EventTrace, MemoryAccess
+from repro.core.events import EventTrace, checked_columns
 from repro.core.ranges import AddressRange
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 
@@ -32,50 +32,52 @@ class TraceFormatError(ValueError):
 
 
 def _encode_events(trace: EventTrace) -> dict:
-    kinds: List[str] = []
-    index_deltas: List[int] = []
-    starts: List[int] = []
-    sizes: List[int] = []
-    pids: List[int] = []
-    previous_index = 0
-    for event in trace:
-        kinds.append("l" if event.is_load else "s")
-        index_deltas.append(event.instruction_index - previous_index)
-        previous_index = event.instruction_index
-        starts.append(event.address_range.start)
-        sizes.append(event.address_range.size)
-        pids.append(event.pid)
+    columns = trace.columns()
+    starts, indices = columns.starts, columns.indices
     payload = {
-        "kinds": "".join(kinds),
-        "index_deltas": index_deltas,
-        "starts": starts,
-        "sizes": sizes,
+        "kinds": "".join(["l" if load else "s" for load in columns.is_loads]),
+        "index_deltas": [
+            index - previous for previous, index in zip([0] + indices, indices)
+        ],
+        "starts": list(starts),
+        "sizes": [end - start + 1 for start, end in zip(starts, columns.ends)],
         "instruction_count": trace.instruction_count,
     }
-    if any(pids):
-        payload["pids"] = pids
+    if any(columns.pids):
+        payload["pids"] = list(columns.pids)
     return payload
 
 
+def _trace_error(message: str) -> TraceFormatError:
+    return TraceFormatError(f"trace events: {message}")
+
+
 def _decode_events(payload: dict) -> EventTrace:
+    """The ``events`` body as a column-only :class:`EventTrace`.
+
+    The columns go through :func:`~repro.core.events.checked_columns`,
+    the checks the wire decoder makes, so a malformed column raises
+    :class:`TraceFormatError`.  An absent ``pids`` column means all 0.
+    """
     kinds = payload["kinds"]
-    pids = payload.get("pids") or [0] * len(kinds)
-    events: List[MemoryAccess] = []
-    index = 0
-    for kind, delta, start, size, pid in zip(
-        kinds, payload["index_deltas"], payload["starts"],
-        payload["sizes"], pids,
-    ):
-        index += delta
-        events.append(
-            MemoryAccess(
-                AccessKind.LOAD if kind == "l" else AccessKind.STORE,
-                AddressRange.from_base_size(start, size),
-                index,
-                pid,
-            )
-        )
-    return EventTrace(events, instruction_count=payload["instruction_count"])
+    if "pids" in payload:
+        pids = payload["pids"]
+    else:
+        pids = [0] * len(kinds) if type(kinds) is str else []
+    instruction_count = payload["instruction_count"]
+    if type(instruction_count) is not int:
+        raise _trace_error("instruction_count must be an integer")
+    columns = checked_columns(
+        kinds,
+        {
+            "starts": payload["starts"],
+            "sizes": payload["sizes"],
+            "index_deltas": payload["index_deltas"],
+            "pids": pids,
+        },
+        _trace_error,
+    )
+    return EventTrace.from_columns(columns, instruction_count)
 
 
 def encode_recorded_run(recorded: RecordedRun) -> dict:
@@ -172,4 +174,9 @@ def load_recorded_run(path: Union[str, Path]) -> RecordedRun:
             f"{path} has version {document.get('version')}, "
             f"expected one of {COMPATIBLE_VERSIONS}"
         )
-    return decode_recorded_run(document)
+    try:
+        return decode_recorded_run(document)
+    except TraceFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as error:
+        raise TraceFormatError(f"{path} is malformed: {error!r}") from error

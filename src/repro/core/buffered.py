@@ -58,7 +58,9 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
-from repro.core.events import AccessKind, EventColumns, MemoryAccess
+from repro.core.events import (
+    AccessKind, EventColumns, MemoryAccess, checked_columns,
+)
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
 
@@ -646,8 +648,8 @@ class BufferedPIFT:
             return [
                 [
                     load if columns.is_loads[i] else store,
-                    columns.ranges[i].start,
-                    columns.ranges[i].end,
+                    columns.starts[i],
+                    columns.ends[i],
                     columns.indices[i],
                     columns.pids[i],
                 ]
@@ -679,20 +681,17 @@ class BufferedPIFT:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Restore a :meth:`snapshot` exactly (construction params aside)."""
-        def unpack(packed_events) -> Tuple[Deque[list], int]:
-            columns = EventColumns.empty()
-            for kind, start, end, index, pid in packed_events:
-                columns.append(MemoryAccess(
-                    AccessKind(kind), AddressRange(int(start), int(end)),
-                    int(index), int(pid),
-                ))
-            count = len(columns)
-            return deque([[columns, 0, count]] if count else []), count
+        """Restore a :meth:`snapshot` exactly (construction params aside).
 
+        The FIFO and spill rows go through the decoders' checks
+        (:func:`~repro.core.events.checked_columns`), so a malformed row
+        raises :class:`ValueError` before any state changes.
+        """
+        queue = _unpack_events(snapshot["queue"], "queue")
+        spill = _unpack_events(snapshot["spill"], "spill")
         self.tracker.restore(snapshot["tracker"])
-        self._queue, self._queue_depth = unpack(snapshot["queue"])
-        self._spill, self._spill_depth = unpack(snapshot["spill"])
+        self._queue, self._queue_depth = _segments(queue)
+        self._spill, self._spill_depth = _segments(spill)
         self._tail = None
         self.stats = BufferStats.from_dict(snapshot["stats"])
         self._pending_immediate = [
@@ -713,3 +712,38 @@ class BufferedPIFT:
         self._backpressure = bool(snapshot["backpressure"])
         self._enqueue_seq = int(snapshot["enqueue_seq"])
         self._retired_seq = int(snapshot["retired_seq"])
+
+
+#: A snapshot row's kind (:class:`~repro.core.events.AccessKind` value)
+#: as the decoders' ``l``/``s`` letter; anything else maps to ``?``.
+_KIND_LETTERS = {AccessKind.LOAD.value: "l", AccessKind.STORE.value: "s"}
+
+
+def _unpack_events(rows, name: str) -> EventColumns:
+    """Snapshot rows ``[kind, start, end, index, pid]`` as checked columns."""
+    def error(message: str) -> ValueError:
+        return ValueError(f"snapshot {name}: {message}")
+
+    if type(rows) is not list or not all(
+        type(row) is list and len(row) == 5 for row in rows
+    ):
+        raise error("rows must be [kind, start, end, index, pid] lists")
+    if rows:
+        kinds, starts, ends, indices, pids = map(list, zip(*rows))
+    else:
+        kinds, starts, ends, indices, pids = [], [], [], [], []
+    letters = "".join(
+        _KIND_LETTERS.get(kind, "?") if type(kind) is str else "?"
+        for kind in kinds
+    )
+    return checked_columns(
+        letters,
+        {"starts": starts, "ends": ends, "indices": indices, "pids": pids},
+        error,
+    )
+
+
+def _segments(columns: EventColumns) -> Tuple[Deque[list], int]:
+    """A restored queue: one segment over ``columns``, and its depth."""
+    count = len(columns)
+    return deque([[columns, 0, count]] if count else []), count

@@ -149,8 +149,12 @@ class ColourRangeSet:
         return len(self._starts)
 
     def overlaps(self, query: AddressRange) -> bool:
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        return idx >= 0 and self._ends[idx] >= query.start
+        return self.overlaps_span(query.start, query.end)
+
+    def overlaps_span(self, start: int, end: int) -> bool:
+        """Does any stored range overlap the inclusive pair ``[start, end]``?"""
+        idx = bisect.bisect_right(self._starts, end) - 1
+        return idx >= 0 and self._ends[idx] >= start
 
     def covers_address(self, address: int) -> bool:
         return self.overlaps(AddressRange(address, address))
@@ -165,14 +169,18 @@ class ColourRangeSet:
         return result
 
     def mask_overlapping(self, query: AddressRange) -> int:
-        """OR of the masks of every stored range overlapping ``query``.
+        """OR of the masks of every stored range overlapping ``query``."""
+        return self.mask_overlapping_span(query.start, query.end)
+
+    def mask_overlapping_span(self, start: int, end: int) -> int:
+        """OR of the masks of every stored range overlapping ``[start, end]``.
 
         This is the per-load lookup of the coloured tracker: zero means
         untainted, and the set bits name the contributing sources.
         """
         mask = 0
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        while idx >= 0 and self._ends[idx] >= query.start:
+        idx = bisect.bisect_right(self._starts, end) - 1
+        while idx >= 0 and self._ends[idx] >= start:
             mask |= self._masks[idx]
             idx -= 1
         return mask
@@ -194,12 +202,15 @@ class ColourRangeSet:
     # -- mutations -------------------------------------------------------
 
     def add(self, item: AddressRange, mask: int) -> None:
-        """Taint ``item`` with ``mask``: OR into overlapped intervals
-        (splitting at the boundaries), fill gaps, then locally coalesce
-        equal-mask neighbours."""
+        """Taint ``item`` with ``mask`` (see :meth:`add_span`)."""
+        self.add_span(item.start, item.end, mask)
+
+    def add_span(self, start: int, end: int, mask: int) -> None:
+        """Taint ``[start, end]`` with ``mask``: OR into overlapped
+        intervals (splitting at the boundaries), fill gaps, then locally
+        coalesce equal-mask neighbours."""
         if mask == 0:
             raise ValueError("colour mask must be non-zero")
-        start, end = item.start, item.end
         starts, ends, masks = self._starts, self._ends, self._masks
         lo = bisect.bisect_left(ends, start)
         hi = bisect.bisect_right(starts, end)
@@ -282,11 +293,15 @@ class ColourRangeSet:
         self._version += 1
 
     def remove(self, item: AddressRange) -> None:
-        """Untaint ``item`` wholesale — every colour at once.  Straddling
-        intervals split; the remnants keep their original masks."""
+        """Untaint ``item`` (see :meth:`remove_span`)."""
+        self.remove_span(item.start, item.end)
+
+    def remove_span(self, start: int, end: int) -> None:
+        """Untaint ``[start, end]`` wholesale — every colour at once.
+        Straddling intervals split; the remnants keep their original masks."""
         starts, ends, masks = self._starts, self._ends, self._masks
-        lo = bisect.bisect_left(ends, item.start)
-        hi = bisect.bisect_right(starts, item.end)
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
         if lo >= hi:
             return
         removed = 0
@@ -295,12 +310,12 @@ class ColourRangeSet:
         new_starts: List[int] = []
         new_ends: List[int] = []
         new_masks: List[int] = []
-        if starts[lo] < item.start:
+        if starts[lo] < start:
             new_starts.append(starts[lo])
-            new_ends.append(item.start - 1)
+            new_ends.append(start - 1)
             new_masks.append(masks[lo])
-        if item.end < ends[hi - 1]:
-            new_starts.append(item.end + 1)
+        if end < ends[hi - 1]:
+            new_starts.append(end + 1)
             new_ends.append(ends[hi - 1])
             new_masks.append(masks[hi - 1])
         starts[lo:hi] = new_starts

@@ -9,15 +9,19 @@ each *memory access* instruction, sends to the PIFT hardware module:
 4. the read or written address range.
 
 Non-memory instructions advance the instruction counter but generate no
-event.  ``MemoryAccess`` is that 4-tuple; the ISA simulator and the malware /
-DroidBench traces all speak this type.
+event.  ``MemoryAccess`` is that 4-tuple as an object — the type sources,
+checks and per-event callers speak.  Recorded traces, wire frames, the
+FIFO and Algorithm 1's batch path carry the same four fields as parallel
+int columns (:class:`EventColumns`), checked once by
+:func:`checked_columns` wherever they are decoded.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.ranges import AddressRange
 
@@ -86,33 +90,39 @@ class ColumnArrays:
 
 
 class EventColumns:
-    """A pre-encoded column view of an event stream — the batch fast path.
+    """A column encoding of an event stream — the representation the
+    decoders, the FIFO and Algorithm 1 share.
 
-    ``PIFTTracker.observe_columns`` iterates these parallel lists instead
-    of per-event attribute chains (``event.pid``, ``event.is_load``, ...),
-    which is where most of the per-event Python overhead lives.  Encode
-    once (``EventTrace.columns()`` caches the encoding), replay many times
-    — the record-once/replay-many shape every ``(NI, NT)`` sweep has.
+    Parallel lists of plain ints: ``is_loads``, ``starts``, ``ends``
+    (inclusive, as in :class:`~repro.core.ranges.AddressRange`),
+    ``indices`` and ``pids``.  ``PIFTTracker.observe_columns`` iterates
+    them instead of per-event attribute chains (``event.pid``,
+    ``event.address_range``, ...), which is where most of the per-event
+    Python overhead lives.  Encode once, replay many times — the
+    record-once/replay-many shape every ``(NI, NT)`` sweep has.
 
-    Columns decoded straight off the wire (``repro serve``) carry no
-    :class:`MemoryAccess` objects: pass ``events=None`` and
-    :attr:`events` materialises them on first use, for per-event
-    consumers such as a fault injector.
+    Nothing on the decode or replay path builds an object per event:
+    :attr:`events` materialises :class:`MemoryAccess` objects on first
+    use, for per-event consumers such as a fault injector.
     """
 
-    __slots__ = ("_events", "is_loads", "ranges", "indices", "pids", "_arrays")
+    __slots__ = (
+        "_events", "is_loads", "starts", "ends", "indices", "pids", "_arrays",
+    )
 
     def __init__(
         self,
         events: Optional[List[MemoryAccess]],
         is_loads: List[bool],
-        ranges: List[AddressRange],
+        starts: List[int],
+        ends: List[int],
         indices: List[int],
         pids: List[int],
     ) -> None:
         self._events = events
         self.is_loads = is_loads
-        self.ranges = ranges
+        self.starts = starts
+        self.ends = ends
         self.indices = indices
         self.pids = pids
         self._arrays: Optional[ColumnArrays] = None
@@ -120,45 +130,46 @@ class EventColumns:
     @classmethod
     def empty(cls) -> "EventColumns":
         """A growable encoding for :meth:`append`."""
-        return cls([], [], [], [], [])
+        return cls(None, [], [], [], [], [])
 
     @property
     def events(self) -> List[MemoryAccess]:
-        """The events as objects (built on first use when decoded)."""
+        """The events as objects (built on first use)."""
         if self._events is None:
             self._events = [
                 MemoryAccess(
                     AccessKind.LOAD if is_load else AccessKind.STORE,
-                    address_range, index, pid,
+                    AddressRange(start, end), index, pid,
                 )
-                for is_load, address_range, index, pid in zip(
-                    self.is_loads, self.ranges, self.indices, self.pids
+                for is_load, start, end, index, pid in zip(
+                    self.is_loads, self.starts, self.ends, self.indices,
+                    self.pids,
                 )
             ]
         return self._events
 
     def append(self, event: MemoryAccess) -> None:
-        """Grow the encoding by one event (drops the numpy cache)."""
-        self.events.append(event)
+        """Grow the encoding by one event (drops the numpy cache).
+
+        The object list grows only if it was already built.
+        """
+        if self._events is not None:
+            self._events.append(event)
+        address_range = event.address_range
         self.is_loads.append(event.kind is AccessKind.LOAD)
-        self.ranges.append(event.address_range)
+        self.starts.append(address_range.start)
+        self.ends.append(address_range.end)
         self.indices.append(event.instruction_index)
         self.pids.append(event.pid)
         self._arrays = None
 
     @classmethod
     def from_events(cls, events: Iterable[MemoryAccess]) -> "EventColumns":
-        materialised = list(events)
-        is_loads: List[bool] = []
-        ranges: List[AddressRange] = []
-        indices: List[int] = []
-        pids: List[int] = []
-        for event in materialised:
-            is_loads.append(event.kind is AccessKind.LOAD)
-            ranges.append(event.address_range)
-            indices.append(event.instruction_index)
-            pids.append(event.pid)
-        return cls(materialised, is_loads, ranges, indices, pids)
+        """Encode ``events``, keeping them as the object list."""
+        columns = cls([], [], [], [], [], [])
+        for event in events:
+            columns.append(event)
+        return columns
 
     def arrays(self) -> ColumnArrays:
         """The cached :class:`ColumnArrays` numpy view (built on first use)."""
@@ -166,27 +177,108 @@ class EventColumns:
             import numpy
 
             count = len(self.indices)
-            pids = numpy.fromiter(self.pids, numpy.int64, count)
+
+            def int64s(column: List[int]):
+                return numpy.fromiter(column, numpy.int64, count)
+
             self._arrays = ColumnArrays(
-                starts=numpy.fromiter(
-                    (r.start for r in self.ranges), numpy.int64, count
-                ),
-                ends=numpy.fromiter(
-                    (r.end for r in self.ranges), numpy.int64, count
-                ),
+                starts=int64s(self.starts),
+                ends=int64s(self.ends),
                 is_load=numpy.fromiter(self.is_loads, numpy.bool_, count),
-                indices=numpy.fromiter(self.indices, numpy.int64, count),
-                pids=pids,
-                pid_values=tuple(int(p) for p in numpy.unique(pids)),
+                indices=int64s(self.indices),
+                pids=int64s(self.pids),
+                pid_values=tuple(sorted(set(self.pids))),
             )
         return self._arrays
 
     def __len__(self) -> int:
         return len(self.indices)
 
+    def __getstate__(self) -> dict:
+        # Objects and arrays are derived from the int lists; pickled
+        # columns (sweep-worker payloads) carry the lists only.
+        return {
+            "is_loads": self.is_loads, "starts": self.starts,
+            "ends": self.ends, "indices": self.indices, "pids": self.pids,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(None, **state)
+
+
+#: Every column value must fit an int64: the vectorised kernel turns the
+#: columns into int64 numpy arrays (:meth:`EventColumns.arrays`).
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: The one value type a column entry may have.  JSON numbers arrive as
+#: ``int`` or ``float`` and ``true``/``false`` as ``bool`` (an ``int``
+#: subclass); only exact ``int`` is accepted, so nothing is truncated or
+#: coerced.
+_INT = frozenset({int})
+
+
+def checked_columns(
+    kinds: str,
+    columns: Dict[str, list],
+    error: Callable[[str], Exception] = ValueError,
+) -> EventColumns:
+    """Validate an encoded event stream into :class:`EventColumns`.
+
+    The one set of checks every decoder applies (wire frames, stored
+    traces, FIFO snapshots).  ``kinds`` is a string of ``l``/``s``;
+    ``columns`` maps ``starts``, ``sizes`` or ``ends`` (inclusive),
+    ``indices`` or ``index_deltas`` (summed in order), and ``pids`` to
+    lists as long as ``kinds``.  Every entry must be an exact ``int``
+    (never ``bool`` or ``float``), every start non-negative, every size
+    at least 1, and every end, index and PID inside int64.  Anything
+    else raises ``error(message)``, the message naming the offending
+    column, before any column is built.
+    """
+    if type(kinds) is not str:
+        raise error("kinds must be a string")
+    count = len(kinds)
+    for name, column in columns.items():
+        if type(column) is not list:
+            raise error(f"{name} must be a list")
+        if len(column) != count:
+            raise error(f"{name} and kinds disagree on length")
+        if not _INT.issuperset(map(type, column)):
+            raise error(f"{name} must hold integers")
+    if kinds.count("l") + kinds.count("s") != count:
+        raise error("kinds must each be 'l' or 's'")
+    starts = columns["starts"]
+    pids = columns["pids"]
+    if "index_deltas" in columns:
+        indices = list(accumulate(columns["index_deltas"]))
+    else:
+        indices = columns["indices"]
+    if "sizes" in columns:
+        sizes = columns["sizes"]
+        if count and min(sizes) < 1:
+            raise error("sizes must be at least 1")
+        ends = [start + size - 1 for start, size in zip(starts, sizes)]
+    else:
+        ends = columns["ends"]
+        if not all(map(int.__le__, starts, ends)):
+            raise error("ends must not precede starts")
+    if count:
+        if min(starts) < 0:
+            raise error("starts must not be negative")
+        if max(ends) > INT64_MAX:
+            raise error("an end address lies beyond int64")
+        for name, column in (("indices", indices), ("pids", pids)):
+            if min(column) < INT64_MIN or max(column) > INT64_MAX:
+                raise error(f"{name} must fit int64")
+    return EventColumns(
+        None, list(map("l".__eq__, kinds)), starts, ends, indices, pids
+    )
+
 
 class EventTrace:
-    """A materialised sequence of memory events plus the total instruction count.
+    """A recorded memory-event stream plus the total instruction count.
+
+    The events live in one :class:`EventColumns`; :attr:`events` and
+    iteration build :class:`MemoryAccess` objects on first use.
 
     The total count matters because metrics such as the paper's Figure 2c
     (distance between consecutive loads) and the tainting window itself are
@@ -200,13 +292,26 @@ class EventTrace:
     """
 
     def __init__(self, events: Iterable[MemoryAccess] = (), instruction_count: int = 0) -> None:
-        self.events: List[MemoryAccess] = list(events)
+        self._columns = EventColumns.empty()
         self._retired: Dict[int, int] = {}
-        for event in self.events:
-            if event.instruction_index >= self._retired.get(event.pid, 0):
-                self._retired[event.pid] = event.instruction_index + 1
         self._floor = instruction_count
-        self._columns: Optional[EventColumns] = None
+        for event in events:
+            self.append(event)
+
+    @classmethod
+    def from_columns(
+        cls, columns: EventColumns, instruction_count: int = 0
+    ) -> "EventTrace":
+        """A trace over decoded ``columns`` (kept as they are)."""
+        trace = cls(instruction_count=instruction_count)
+        trace._columns = columns
+        trace._retired = _high_water(columns)
+        return trace
+
+    @property
+    def events(self) -> List[MemoryAccess]:
+        """The events as objects (built on first use)."""
+        return self._columns.events
 
     @property
     def instruction_count(self) -> int:
@@ -229,40 +334,47 @@ class EventTrace:
             self._retired[pid] = instruction_index + 1
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.events)
+        return iter(self._columns.events)
 
     def append(self, event: MemoryAccess) -> None:
-        self.events.append(event)
+        self._columns.append(event)
         if event.instruction_index >= self._retired.get(event.pid, 0):
             self._retired[event.pid] = event.instruction_index + 1
-        self._columns = None
 
     def columns(self) -> EventColumns:
-        """The cached column encoding (rebuilt after any :meth:`append`)."""
-        if self._columns is None or len(self._columns) != len(self.events):
-            self._columns = EventColumns.from_events(self.events)
+        """The trace's column encoding (the trace's own storage)."""
         return self._columns
-
-    def __getstate__(self) -> dict:
-        # The column cache is derived data; drop it so pickled traces
-        # (sweep-worker payloads) don't carry it twice.
-        state = self.__dict__.copy()
-        state["_columns"] = None
-        return state
 
     @property
     def load_count(self) -> int:
-        return sum(1 for e in self.events if e.is_load)
+        return sum(self._columns.is_loads)
 
     @property
     def store_count(self) -> int:
-        return sum(1 for e in self.events if e.is_store)
+        return len(self._columns) - self.load_count
 
     def loads(self) -> Iterator[MemoryAccess]:
         return (e for e in self.events if e.is_load)
 
     def stores(self) -> Iterator[MemoryAccess]:
         return (e for e in self.events if e.is_store)
+
+
+def _high_water(columns: EventColumns) -> Dict[int, int]:
+    """Per-PID ``max index + 1`` under :meth:`EventTrace.append`'s rule
+    (an index counts once it reaches the PID's mark, which starts at 0)."""
+    pids, indices = columns.pids, columns.indices
+    retired: Dict[int, int] = {}
+    if pids and pids.count(pids[0]) == len(pids):
+        # One process: the per-event updates telescope to its maximum.
+        top = max(indices)
+        if top >= 0:
+            retired[pids[0]] = top + 1
+        return retired
+    for pid, index in zip(pids, indices):
+        if index >= retired.get(pid, 0):
+            retired[pid] = index + 1
+    return retired

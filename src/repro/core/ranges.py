@@ -147,10 +147,12 @@ class RangeSet:
 
     def __contains__(self, item: AddressRange) -> bool:
         """True when ``item`` is fully covered by a single stored range."""
-        idx = self._candidate_index(item)
-        if idx is None:
-            return False
-        return self._starts[idx] <= item.start and item.end <= self._ends[idx]
+        idx = bisect.bisect_right(self._starts, item.end) - 1
+        return (
+            idx >= 0
+            and self._starts[idx] <= item.start
+            and item.end <= self._ends[idx]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RangeSet):
@@ -173,11 +175,21 @@ class RangeSet:
 
     def overlaps(self, query: AddressRange) -> bool:
         """The per-load taint lookup: does any stored range overlap ``query``?"""
-        return self._candidate_index(query) is not None
+        return self.overlaps_span(query.start, query.end)
+
+    def overlaps_span(self, start: int, end: int) -> bool:
+        """:meth:`overlaps` for the inclusive int pair ``[start, end]``.
+
+        Ranges are disjoint and sorted, so the only candidate with
+        ``stored start <= end`` that can still overlap is the rightmost one.
+        """
+        idx = bisect.bisect_right(self._starts, end) - 1
+        return idx >= 0 and self._ends[idx] >= start
 
     #: The tracker's window-opening lookup: a single-bit state's only
     #: colour is "tainted", so a hit is ``True == 1``.
     mask_overlapping = overlaps
+    mask_overlapping_span = overlaps_span
 
     def overlapping(self, query: AddressRange) -> List[AddressRange]:
         """All stored ranges that overlap ``query`` (for sink diagnostics)."""
@@ -212,28 +224,19 @@ class RangeSet:
             self._np_mirror = mirror
         return mirror[1], mirror[2]
 
-    def _candidate_index(self, query: AddressRange) -> Optional[int]:
-        """Index of one stored range overlapping ``query``, or ``None``.
-
-        Ranges are disjoint and sorted, so the only candidate with
-        ``start <= query.end`` that can still overlap is the rightmost one.
-        """
-        idx = bisect.bisect_right(self._starts, query.end) - 1
-        if idx < 0:
-            return None
-        if self._ends[idx] >= query.start:
-            return idx
-        return None
 
     # -- mutations -------------------------------------------------------
 
     def add(self, item: AddressRange, mask: int = 1) -> None:
-        """Taint ``item``, merging with overlapping/adjacent stored ranges.
+        """Taint ``item`` (see :meth:`add_span`)."""
+        self.add_span(item.start, item.end, mask)
+
+    def add_span(self, start: int, end: int, mask: int = 1) -> None:
+        """Taint ``[start, end]``, merging with overlapping/adjacent ranges.
 
         ``mask`` is the tracker's window colour; a single-bit set has no
         colours to keep, so it is accepted and ignored.
         """
-        start, end = item.start, item.end
         # Find the window of stored ranges that the new range touches
         # (overlap or adjacency), then replace them with one merged range.
         lo = bisect.bisect_left(self._ends, start - 1 if start else 0)
@@ -250,9 +253,13 @@ class RangeSet:
         self._version += 1
 
     def remove(self, item: AddressRange) -> None:
-        """Untaint ``item``, splitting stored ranges that straddle it."""
-        lo = bisect.bisect_left(self._ends, item.start)
-        hi = bisect.bisect_right(self._starts, item.end)
+        """Untaint ``item`` (see :meth:`remove_span`)."""
+        self.remove_span(item.start, item.end)
+
+    def remove_span(self, start: int, end: int) -> None:
+        """Untaint ``[start, end]``, splitting stored ranges that straddle it."""
+        lo = bisect.bisect_left(self._ends, start)
+        hi = bisect.bisect_right(self._starts, end)
         if lo >= hi:
             return
         removed = 0
@@ -260,11 +267,11 @@ class RangeSet:
             removed += self._ends[i] - self._starts[i] + 1
         new_starts: List[int] = []
         new_ends: List[int] = []
-        if self._starts[lo] < item.start:
+        if self._starts[lo] < start:
             new_starts.append(self._starts[lo])
-            new_ends.append(item.start - 1)
-        if item.end < self._ends[hi - 1]:
-            new_starts.append(item.end + 1)
+            new_ends.append(start - 1)
+        if end < self._ends[hi - 1]:
+            new_starts.append(end + 1)
             new_ends.append(self._ends[hi - 1])
         self._starts[lo:hi] = new_starts
         self._ends[lo:hi] = new_ends

@@ -108,6 +108,10 @@ class BoundedRangeCache:
         self._clock = 0
 
     # -- TaintStateLike surface -------------------------------------------
+    #
+    # The int-pair ``*_span`` entry points build an ``AddressRange`` and
+    # defer to the range methods: the vectorised kernel never drives a
+    # bounded cache, so its per-event cost is not on a hot path.
 
     def overlaps(self, query: AddressRange) -> bool:
         """Parallel lookup against on-chip entries, then secondary storage."""
@@ -126,8 +130,18 @@ class BoundedRangeCache:
             return True
         return False
 
+    def overlaps_span(self, start: int, end: int) -> bool:
+        return self.overlaps(AddressRange(start, end))
+
     #: Single-bit storage: a hit opens the tracker's window with mask 1.
     mask_overlapping = overlaps
+    mask_overlapping_span = overlaps_span
+
+    def add_span(self, start: int, end: int, mask: int = 1) -> None:
+        self.add(AddressRange(start, end), mask)
+
+    def remove_span(self, start: int, end: int) -> None:
+        self.remove(AddressRange(start, end))
 
     def add(self, item: AddressRange, mask: int = 1) -> None:
         """Taint ``item``; ``mask`` (the window colour) is ignored."""

@@ -48,22 +48,28 @@ class TaintStateLike:
     """Structural interface the tracker requires of its taint state.
 
     Algorithm 1 runs once, carrying a colour mask: a load opens a window
-    with ``mask_overlapping``'s result when it is non-zero, and in-window
-    stores ``add`` their target with that window mask.  Single-bit states
-    bind ``mask_overlapping = overlaps`` (a hit is ``True == 1``) and
-    accept ``add``'s mask without using it.
+    with ``mask_overlapping_span``'s result when it is non-zero, and
+    in-window stores ``add_span`` their target with that window mask.
+    Single-bit states bind ``mask_overlapping_span = overlaps_span`` (a
+    hit is ``True == 1``) and accept the mask without using it.
+
+    Every entry point takes the inclusive int pair ``(start, end)`` the
+    event columns carry.  The states in this package also offer each one
+    over an :class:`~repro.core.ranges.AddressRange` (``overlaps``,
+    ``mask_overlapping``, ``add``, ``remove``) for per-range callers;
+    the tracker never calls those.
     """
 
-    def overlaps(self, query: AddressRange) -> bool:  # pragma: no cover
+    def overlaps_span(self, start: int, end: int) -> bool:  # pragma: no cover
         raise NotImplementedError
 
-    def mask_overlapping(self, query: AddressRange) -> int:  # pragma: no cover
+    def mask_overlapping_span(self, start: int, end: int) -> int:  # pragma: no cover
         raise NotImplementedError
 
-    def add(self, item: AddressRange, mask: int = 1) -> None:  # pragma: no cover
+    def add_span(self, start: int, end: int, mask: int = 1) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def remove(self, item: AddressRange) -> None:  # pragma: no cover
+    def remove_span(self, start: int, end: int) -> None:  # pragma: no cover
         raise NotImplementedError
 
     @property
@@ -333,12 +339,14 @@ class PIFTTracker:
 
     def taint_source(self, address_range: AddressRange, pid: int = 0) -> None:
         """Source registration: mark ``address_range`` sensitive (Figure 3)."""
-        self.state(pid).add(address_range)
+        self.state(pid).add_span(address_range.start, address_range.end)
         self._registered(address_range, pid)
 
     def check(self, address_range: AddressRange, pid: int = 0) -> bool:
         """Sink query: is any byte of ``address_range`` tainted?"""
-        tainted = self.state(pid).overlaps(address_range)
+        tainted = self.state(pid).overlaps_span(
+            address_range.start, address_range.end
+        )
         if self._instruments is not None:
             self._instruments.checks.inc()
         return tainted
@@ -449,10 +457,11 @@ class PIFTTracker:
         if k >= window.instructions_retired:
             self.stats.instructions_observed += k + 1 - window.instructions_retired
             window.instructions_retired = k + 1
+        start, end = event.address_range.start, event.address_range.end
 
         if event.is_load:
             self.stats.loads_observed += 1
-            mask = state.mask_overlapping(event.address_range)
+            mask = state.mask_overlapping_span(start, end)
             if mask:
                 # Tainted load: start (or restart) the tainting window.
                 window.last_tainted_load = k
@@ -471,13 +480,13 @@ class PIFTTracker:
                 and k <= window.last_tainted_load + self.config.window_size
             )
             if in_window and window.propagations < self.config.max_propagations:
-                state.add(event.address_range, window.colour_mask)
+                state.add_span(start, end, window.colour_mask)
                 window.propagations += 1
                 self.stats.taint_operations += 1
                 self._after_mutation(event.pid, k)
             elif self.config.untainting:
-                if state.overlaps(event.address_range):
-                    state.remove(event.address_range)
+                if state.overlaps_span(start, end):
+                    state.remove_span(start, end)
                     self.stats.untaint_operations += 1
                     self._after_mutation(event.pid, k)
         if self._instruments is not None:
@@ -572,7 +581,8 @@ class PIFTTracker:
         record_timeline = self._record_timeline
         timeline = stats.timeline
         is_loads = columns.is_loads
-        ranges = columns.ranges
+        starts = columns.starts
+        ends = columns.ends
         indices = columns.indices
         pids = columns.pids
         loads = stats.loads_observed
@@ -595,19 +605,18 @@ class PIFTTracker:
                         state = states[pid] = self._state_factory()
                         windows[pid] = _WindowState()
                     window = windows[pid]
-                    mask_overlapping = state.mask_overlapping
-                    overlaps = state.overlaps
-                    add = state.add
-                    remove = state.remove
+                    mask_overlapping = state.mask_overlapping_span
+                    overlaps = state.overlaps_span
+                    add = state.add_span
+                    remove = state.remove_span
                     current_pid = pid
                 k = indices[i]
                 if k >= window.instructions_retired:
                     instructions += k + 1 - window.instructions_retired
                     window.instructions_retired = k + 1
-                address_range = ranges[i]
                 if is_loads[i]:
                     loads += 1
-                    mask = mask_overlapping(address_range)
+                    mask = mask_overlapping(starts[i], ends[i])
                     if mask:
                         window.last_tainted_load = k
                         window.propagations = 0
@@ -621,11 +630,11 @@ class PIFTTracker:
                     and last <= k <= last + window_size
                     and window.propagations < max_propagations
                 ):
-                    add(address_range, window.colour_mask)
+                    add(starts[i], ends[i], window.colour_mask)
                     window.propagations += 1
                     taints += 1
-                elif untainting and overlaps(address_range):
-                    remove(address_range)
+                elif untainting and overlaps(starts[i], ends[i]):
+                    remove(starts[i], ends[i])
                     untaints += 1
                 else:
                     continue
@@ -743,12 +752,14 @@ class ColourTracker(PIFTTracker):
         (the base class's API) still get a well-formed single-colour run.
         """
         mask = self.colours.register("source" if colour is None else colour)
-        self.state(pid).add(address_range, mask)
+        self.state(pid).add_span(address_range.start, address_range.end, mask)
         self._registered(address_range, pid)
 
     def check_mask(self, address_range: AddressRange, pid: int = 0) -> int:
         """Sink query: OR of the colour masks overlapping ``address_range``."""
-        return self.state(pid).mask_overlapping(address_range)
+        return self.state(pid).mask_overlapping_span(
+            address_range.start, address_range.end
+        )
 
     def check_colours(
         self, address_range: AddressRange, pid: int = 0

@@ -43,7 +43,9 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.replay import replay_plan_for, source_colour
 from repro.android.device import RecordedRun
-from repro.core.events import EventColumns, MemoryAccess
+from repro.core.events import (
+    INT64_MAX, INT64_MIN, EventColumns, MemoryAccess, checked_columns,
+)
 from repro.core.ranges import AddressRange
 
 PROTOCOL_VERSION = 1
@@ -117,94 +119,84 @@ def check_frame(check) -> dict:
 
 def events_frame(events: List[MemoryAccess]) -> dict:
     """A chunk of memory events in the tracefile column encoding."""
+    return _columns_frame(EventColumns.from_events(events), 0, len(events))
+
+
+def _columns_frame(columns: EventColumns, start: int, stop: int) -> dict:
+    """Events ``[start, stop)`` of ``columns`` as an ``events`` frame."""
+    starts = columns.starts[start:stop]
     return {
         "op": "events",
-        "kinds": "".join("l" if e.is_load else "s" for e in events),
-        "starts": [e.address_range.start for e in events],
-        "sizes": [e.address_range.size for e in events],
-        "indices": [e.instruction_index for e in events],
-        "pids": [e.pid for e in events],
+        "kinds": "".join(
+            ["l" if load else "s" for load in columns.is_loads[start:stop]]
+        ),
+        "starts": starts,
+        "sizes": [
+            end - first + 1
+            for first, end in zip(starts, columns.ends[start:stop])
+        ],
+        "indices": columns.indices[start:stop],
+        "pids": columns.pids[start:stop],
     }
 
-
-#: The one value type a column entry may have.  JSON numbers arrive as
-#: ``int`` or ``float`` and ``true``/``false`` as ``bool`` (an ``int``
-#: subclass); only exact ``int`` is accepted, so nothing is truncated or
-#: coerced.
-_INT = frozenset({int})
-
-#: Every value must also fit an int64: the vectorised kernel turns the
-#: columns into int64 numpy arrays.
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 _EVENT_COLUMNS = ("starts", "sizes", "indices", "pids")
 
 
 def _int64(value, what: str) -> int:
     """``value`` if it is an ``int`` (not ``bool``) that fits an int64."""
-    if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
         raise ProtocolError(f"{what} must be a 64-bit integer, got {value!r}")
     return value
+
+
+def _frame_error(message: str) -> ProtocolError:
+    return ProtocolError(f"events frame {message}")
 
 
 def decode_columns(frame: dict) -> Dict[int, EventColumns]:
     """Validate an ``events`` frame into per-PID column chunks.
 
     Returns ``{pid: EventColumns}`` in order of each PID's first event;
-    every chunk holds that PID's events in frame order.  No
-    :class:`~repro.core.events.MemoryAccess` is built — a shard enqueues
-    the chunk as is (:meth:`repro.serve.shard.TrackerShard.ingest`).
+    every chunk holds that PID's events in frame order as int columns —
+    no :class:`~repro.core.events.MemoryAccess` or
+    :class:`~repro.core.ranges.AddressRange` is built, and a shard
+    enqueues the chunk as is (:meth:`repro.serve.shard.TrackerShard.ingest`).
 
     The whole frame is checked before anything is built, so a bad frame
     raises :class:`ProtocolError` and no shard sees any of it: a missing
-    column, a ``kinds`` that is not a string of ``l``/``s``, a column
-    that is not a list, columns of different lengths, any value that is
-    not an ``int`` (``bool`` and ``float`` included), a negative start,
-    a size below 1, or an end address, index or PID outside int64.
+    column, then :func:`~repro.core.events.checked_columns`' checks (the
+    ones stored traces get) — a ``kinds`` that is not a string of
+    ``l``/``s``, a column that is not a list, columns of different
+    lengths, any value that is not an ``int`` (``bool`` and ``float``
+    included), a negative start, a size below 1, or an end address,
+    index or PID outside int64.
     """
     try:
         kinds = frame["kinds"]
-        columns = [frame[name] for name in _EVENT_COLUMNS]
+        columns = {name: frame[name] for name in _EVENT_COLUMNS}
     except KeyError as error:
         raise ProtocolError(f"events frame missing {error}") from error
-    if type(kinds) is not str:
-        raise ProtocolError("events frame kinds must be a string")
-    count = len(kinds)
-    for name, column in zip(_EVENT_COLUMNS, columns):
-        if type(column) is not list:
-            raise ProtocolError(f"events frame {name} must be a list")
-        if len(column) != count:
-            raise ProtocolError("events frame columns disagree on length")
-        if not _INT.issuperset(map(type, column)):
-            raise ProtocolError(f"events frame {name} must hold integers")
-    if kinds.count("l") + kinds.count("s") != count:
-        raise ProtocolError("events frame kinds must each be 'l' or 's'")
-    starts, sizes, indices, pids = columns
+    decoded = checked_columns(kinds, columns, _frame_error)
+    count = len(decoded)
     if not count:
         return {}
-    if min(starts) < 0:
-        raise ProtocolError("events frame has a negative start")
-    if min(sizes) < 1:
-        raise ProtocolError("events frame has a size below 1")
-    ends = [start + size - 1 for start, size in zip(starts, sizes)]
-    if max(ends) > _INT64_MAX:
-        raise ProtocolError("events frame has an end address beyond int64")
-    for name, column in (("indices", indices), ("pids", pids)):
-        if min(column) < _INT64_MIN or max(column) > _INT64_MAX:
-            raise ProtocolError(f"events frame {name} must fit int64")
-    is_loads = list(map("l".__eq__, kinds))
-    ranges = list(map(AddressRange, starts, ends))
+    pids = decoded.pids
     first = pids[0]
     if pids.count(first) == count:
-        return {first: EventColumns(None, is_loads, ranges, indices, pids)}
+        return {first: decoded}
     positions: Dict[int, List[int]] = {}
     for position, pid in enumerate(pids):
         positions.setdefault(pid, []).append(position)
+    is_loads, starts, ends, indices = (
+        decoded.is_loads, decoded.starts, decoded.ends, decoded.indices
+    )
     return {
         pid: EventColumns(
             None,
             [is_loads[i] for i in chosen],
-            [ranges[i] for i in chosen],
+            [starts[i] for i in chosen],
+            [ends[i] for i in chosen],
             [indices[i] for i in chosen],
             [pid] * len(chosen),
         )
@@ -270,7 +262,7 @@ def run_to_frames(
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     plan = replay_plan_for(recorded)
-    events = recorded.trace.events
+    columns = recorded.trace.columns()
     source_i = check_i = 0
     position = 0
 
@@ -278,7 +270,7 @@ def run_to_frames(
         nonlocal position
         while position < upto:
             stop = min(position + chunk, upto)
-            yield events_frame(events[position:stop])
+            yield _columns_frame(columns, position, stop)
             position = stop
 
     def emit_boundary(sources_due: int, checks_due: int) -> Iterator[dict]:
@@ -293,7 +285,7 @@ def run_to_frames(
     for boundary, sources_due, checks_due in plan.boundaries:
         yield from emit_events(boundary)
         yield from emit_boundary(sources_due, checks_due)
-    yield from emit_events(len(events))
+    yield from emit_events(len(columns))
     yield from emit_boundary(plan.final_sources, plan.final_checks)
 
 

@@ -83,7 +83,7 @@ def load_suite_bytes(payload: bytes) -> List:
             )
             for entry in document["runs"]
         ]
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise TraceFormatError(f"malformed suite entry: {error}") from error
 
 

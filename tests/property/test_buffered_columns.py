@@ -214,8 +214,8 @@ def materialise(operations):
 def enqueue_chunked(buffered, events, cuts, decoded):
     columns = EventColumns.from_events(events)
     if decoded:
-        columns = EventColumns(None, columns.is_loads, columns.ranges,
-                               columns.indices, columns.pids)
+        columns = EventColumns(None, columns.is_loads, columns.starts,
+                               columns.ends, columns.indices, columns.pids)
     bounds = sorted({min(cut, len(events)) for cut in cuts}
                     | {0, len(events)})
     for lo, hi in zip(bounds, bounds[1:]):

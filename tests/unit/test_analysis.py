@@ -179,6 +179,22 @@ class TestReplay:
         )
         assert not replay(recorded, PIFTConfig(5, 2)).alarm
 
+    def test_marks_due_at_an_event_index_drain_before_it(self):
+        """A source or check recorded at an event's instruction index is
+        handled before that event: the load at 10 sees the source
+        registered at 10, and a check at 12 does not see the store at 12."""
+        recorded = make_recorded(True)
+        recorded.sources[0] = SourceRegistration(
+            AddressRange(0x1000, 0x1003), 10, "src"
+        )
+        recorded.sink_checks.append(
+            SinkCheck(AddressRange(0x2000, 0x2003), 12, "early", "sms")
+        )
+        outcomes = replay(recorded, PIFTConfig(5, 2)).sink_outcomes
+        assert {o.sink_name: o.tainted for o in outcomes} == {
+            "early": False, "sink": True,
+        }
+
 
 class TestAccuracy:
     def apps(self):

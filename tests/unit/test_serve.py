@@ -9,6 +9,7 @@ and mid-stream-migration configurations.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -459,6 +460,28 @@ class TestAdminVerbs:
                 await admin.restore(snapshot)
                 with pytest.raises(ServeClientError, match="already live"):
                     await admin.restore(snapshot)
+                await admin.close()
+                await client.end()
+
+        asyncio.run(scenario())
+
+    def test_malformed_fifo_row_in_restore_is_one_error(self, tmp_path):
+        """A snapshot whose FIFO row fails the decoders' checks costs the
+        ``restore`` op one error frame; the connection and the intact
+        snapshot still restore."""
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                client = await DeviceClient.connect(
+                    "dev-a", unix_path=daemon.path
+                )
+                await client.stream_run(make_run())
+                admin = await AdminClient.connect(unix_path=daemon.path)
+                snapshot = await admin.drain("dev-a", 0)
+                bad = json.loads(json.dumps(snapshot))
+                bad["buffered"]["queue"].append(["load", 16, 19.5, 1, 0])
+                with pytest.raises(ServeClientError, match="snapshot queue"):
+                    await admin.restore(bad)
+                await admin.restore(snapshot)
                 await admin.close()
                 await client.end()
 

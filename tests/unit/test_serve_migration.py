@@ -196,6 +196,31 @@ class TestShardSnapshotValidation:
         tainted, colours, degraded = heir.check(DST)
         assert tainted and not degraded
 
+    @pytest.mark.parametrize("row", [
+        ["lod", 0x10, 0x13, 1, 0],          # kind not load/store
+        ["load", 0x10, 19.5, 1, 0],         # float end
+        ["store", True, 0x13, 1, 0],        # bool start
+        ["load", -1, 0x13, 1, 0],           # negative start
+        ["load", 0x13, 0x10, 1, 0],         # end before start
+        ["load", 0x10, 2**63, 1, 0],        # end beyond int64
+        ["store", 0x10, 0x13, 2**63, 0],    # index beyond int64
+        ["load", 0x10, 0x13, 1],            # short row
+    ])
+    def test_rejects_malformed_fifo_rows(self, row):
+        """FIFO rows take the decoders' checks: a bad one raises
+        ``ValueError`` (one error frame for the ``restore`` op) and the
+        heir keeps its state."""
+        shard = self.make_shard()
+        shard.register_source(SRC)
+        shard.ingest(EventColumns.from_events(leaky_events(rounds=2)))
+        snapshot = json.loads(json.dumps(shard.snapshot()))
+        snapshot["buffered"]["queue"].append(row)
+        heir = self.make_shard()
+        with pytest.raises(ValueError):
+            heir.restore(snapshot)
+        assert heir.queue_depth == 0 and heir.restores == 0
+        assert not heir.check(DST)[0]
+
     def test_rejects_wrong_version(self):
         snapshot = self.make_shard().snapshot()
         snapshot["version"] = 99
@@ -272,8 +297,9 @@ class TestColumnChunkMigration:
         if chunked:
             decoded = EventColumns.from_events(events)
             # Wire-decoded columns carry no event objects.
-            shard.ingest(EventColumns(None, decoded.is_loads, decoded.ranges,
-                                      decoded.indices, decoded.pids))
+            shard.ingest(EventColumns(None, decoded.is_loads, decoded.starts,
+                                      decoded.ends, decoded.indices,
+                                      decoded.pids))
         else:
             for event in events:
                 shard.ingest(EventColumns.from_events([event]))

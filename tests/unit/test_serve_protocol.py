@@ -98,8 +98,8 @@ class TestFrames:
         assert decoded[0].is_loads == [True, False]
         assert decoded[0].indices == [1, 3]
         assert decoded[0].pids == [0, 0]
-        assert decoded[0].ranges == [e.address_range for e in (events[0],
-                                                               events[2])]
+        assert decoded[0].starts == [0x10, 0x30]
+        assert decoded[0].ends == [0x13, 0x30]
 
     def test_empty_events_frame_decodes_to_nothing(self):
         assert protocol.decode_columns(protocol.events_frame([])) == {}
@@ -187,7 +187,8 @@ class TestMalformedFramesRejected:
         frame["indices"][1] = 2**63 - 1
         frame["pids"][2] = -2**63
         decoded = protocol.decode_columns(frame)
-        assert decoded[3].ranges[0] == AddressRange(2**63 - 4, 2**63 - 1)
+        assert (decoded[3].starts[0], decoded[3].ends[0]) == (2**63 - 4,
+                                                              2**63 - 1)
         for columns in decoded.values():
             columns.arrays()  # fits the kernel's int64 arrays
 

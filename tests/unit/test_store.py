@@ -138,6 +138,37 @@ class TestPutGet:
                 art.journal_path(bad)
 
 
+def _replace(column, position, value):
+    def corrupt(events):
+        events[column][position] = value
+    return corrupt
+
+
+#: Corruptions of one stored run's ``events`` body that leave the gzip
+#: and the JSON readable; each must make the entry undecodable.
+BAD_EVENT_COLUMNS = {
+    "float-size": _replace("sizes", 0, 2.5),
+    "bool-start": _replace("starts", 0, True),
+    "float-index-delta": _replace("index_deltas", 1, 1.0),
+    "kind-x": lambda events: events.update(kinds="x" + events["kinds"][1:]),
+    "short-starts": lambda events: events["starts"].pop(),
+    "start-beyond-int64": _replace("starts", 0, 2**70),
+    "zero-size": _replace("sizes", 0, 0),
+    "negative-start": _replace("starts", 0, -1),
+    "pids-wrong-length": lambda events: events.update(
+        pids=[0] * (len(events["kinds"]) - 1)
+    ),
+}
+
+
+def _suite_payload(corrupt) -> bytes:
+    """``tiny_suite()``'s payload with ``corrupt`` applied to run 0's events."""
+    document = json.loads(gzip.decompress(dump_suite_bytes(tiny_suite())))
+    corrupt(document["runs"][0]["run"]["events"])
+    raw = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return gzip.compress(raw.encode("utf-8"), mtime=0)
+
+
 def _entry_files(art: ArtifactStore, key: StoreKey):
     digest = key.digest
     shard = art.objects_dir / digest[:2]
@@ -167,13 +198,20 @@ class TestCorruption:
         assert art.corruptions == 1
         assert not art.has(TEST_KEY)
 
-    def test_valid_gzip_wrong_schema_is_corruption(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt", [None, *BAD_EVENT_COLUMNS.values()],
+        ids=["foreign-schema", *BAD_EVENT_COLUMNS],
+    )
+    def test_valid_gzip_wrong_schema_is_corruption(self, tmp_path, corrupt):
         """An entry that unzips but doesn't decode is quarantined too —
         the checksum can't catch a foreign tool writing its own bytes."""
         art = ArtifactStore(tmp_path / "store")
         art.put_runs(TEST_KEY, tiny_suite())
         payload_path, meta_path = _entry_files(art, TEST_KEY)
-        bogus = gzip.compress(b'{"not": "a suite"}', mtime=0)
+        if corrupt is None:
+            bogus = gzip.compress(b'{"not": "a suite"}', mtime=0)
+        else:
+            bogus = _suite_payload(corrupt)
         payload_path.write_bytes(bogus)
         meta = json.loads(meta_path.read_text())
         import hashlib
@@ -182,6 +220,7 @@ class TestCorruption:
         meta_path.write_text(json.dumps(meta))
         assert art.get_runs(TEST_KEY) is None
         assert art.corruptions == 1
+        assert len(list(art.quarantine_dir.iterdir())) == 2
 
     def test_missing_meta_is_a_plain_miss(self, tmp_path):
         art = ArtifactStore(tmp_path / "store")

@@ -21,6 +21,30 @@ def recorded():
     return record_app(app_by_name("GeneralJava.StringFormatter")).recorded
 
 
+def _replace(column, position, value):
+    def corrupt(events):
+        events[column][position] = value
+    return corrupt
+
+
+#: Corruptions of a stored ``events`` body that leave the gzip and the
+#: JSON readable; each must fail the load instead of decoding wrongly.
+BAD_EVENT_COLUMNS = {
+    "float-size": _replace("sizes", 0, 2.5),
+    "bool-start": _replace("starts", 0, True),
+    "float-index-delta": _replace("index_deltas", 1, 1.0),
+    "kind-x": lambda events: events.update(kinds="x" + events["kinds"][1:]),
+    "short-starts": lambda events: events["starts"].pop(),
+    "start-beyond-int64": _replace("starts", 0, 2**70),
+    "zero-size": _replace("sizes", 0, 0),
+    "negative-start": _replace("starts", 0, -1),
+    "pids-wrong-length": lambda events: events.update(
+        pids=[0] * (len(events["kinds"]) - 1)
+    ),
+    "missing-sizes": lambda events: events.pop("sizes"),
+}
+
+
 class TestTraceFile:
     def test_roundtrip_preserves_everything(self, recorded, tmp_path):
         path = save_recorded_run(recorded, tmp_path / "run.pift.gz")
@@ -69,6 +93,19 @@ class TestTraceFile:
         with gzip.open(path, "rt") as handle:
             document = json.load(handle)
         document["version"] = 999
+        with gzip.open(path, "wt") as handle:
+            json.dump(document, handle)
+        with pytest.raises(TraceFormatError):
+            load_recorded_run(path)
+
+    @pytest.mark.parametrize("corrupt", BAD_EVENT_COLUMNS.values(),
+                             ids=list(BAD_EVENT_COLUMNS))
+    def test_rejects_malformed_event_columns(self, recorded, tmp_path,
+                                             corrupt):
+        path = save_recorded_run(recorded, tmp_path / "run.pift.gz")
+        with gzip.open(path, "rt") as handle:
+            document = json.load(handle)
+        corrupt(document["events"])
         with gzip.open(path, "wt") as handle:
             json.dump(document, handle)
         with pytest.raises(TraceFormatError):

@@ -7,6 +7,8 @@ adaptation, and the bounded density bail-out with its re-probe — with
 deterministic traces.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import vectorized
@@ -191,6 +193,29 @@ class TestColumnArrays:
         ]
         assert arrays.pids.tolist() == [e.pid for e in stream]
         assert arrays.pid_values == (3, 5)
+
+    def test_pickle_carries_only_the_int_columns(self):
+        stream = untainted_stream(6, pid=3) + tainting_stream(
+            6, start_index=6, pid=5
+        )
+        columns = EventColumns.from_events(stream)
+        columns.arrays()
+        clone = pickle.loads(pickle.dumps(columns))
+        assert clone._events is None and clone._arrays is None
+        assert (clone.is_loads, clone.starts, clone.ends, clone.indices,
+                clone.pids) == (columns.is_loads, columns.starts,
+                                columns.ends, columns.indices, columns.pids)
+        assert clone.events == stream
+
+    def test_append_grows_objects_only_once_built(self):
+        stream = untainted_stream(3)
+        columns = EventColumns.empty()
+        for event in stream[:2]:
+            columns.append(event)
+        assert columns._events is None
+        assert columns.events == stream[:2]
+        columns.append(stream[2])
+        assert columns._events == stream
 
 
 class TestRangeSetMirror:
