@@ -1,7 +1,7 @@
-"""Extension — queue-backend resilience under worker mortality.
+"""Extension — sweep dispatcher resilience under worker mortality.
 
-The fault-tolerant queue backend (``run_sweep(backend="queue")``) claims
-two things the pool backend cannot:
+The lease dispatcher every ``run_sweep(jobs > 1)`` runs on claims two
+things:
 
 1. **Survival** — a sweep with workers being SIGKILLed mid-cell still
    completes, without ``--resume``, and the grid is bit-identical to a
@@ -9,8 +9,8 @@ two things the pool backend cannot:
    recompute identical results).
 2. **Bounded overhead** — at 20% per-attempt worker mortality
    (``kill-workers:0.2``), wall time stays within
-   :data:`MAX_MORTALITY_RATIO` (1.5x) of the fault-free queue run on the
-   same grid.  Dead workers only cost the lost attempt's partial work,
+   :data:`MAX_MORTALITY_RATIO` (1.5x) of the fault-free run on the same
+   grid.  Dead workers only cost the lost attempt's partial work,
    a short requeue backoff, and a respawn — all overlapped with the
    surviving workers' progress.
 
@@ -41,8 +41,8 @@ from repro.sweep import (
     run_sweep,
 )
 
-#: Chaos wall time must stay within this factor of the fault-free queue
-#: run at 20% per-attempt worker mortality.
+#: Chaos wall time must stay within this factor of the fault-free run at
+#: 20% per-attempt worker mortality.
 MAX_MORTALITY_RATIO = 1.5
 
 #: The smoke grid's bar carries slack: with only 32 cells a handful of
@@ -103,7 +103,7 @@ def _digest(result) -> str:
 def measure_resilience(
     grid: GridSpec, cache: TraceCache, jobs: int = 4, trials: int = 2
 ) -> dict:
-    """Serial reference, fault-free queue, chaos queue; best-of-trials."""
+    """Serial reference, fault-free and chaos dispatch; best-of-trials."""
     serial = run_sweep(grid, cache=cache, jobs=1)
     reference = _digest(serial)
     chaos_plan = ChaosPlan.parse(f"kill-workers:{MORTALITY}", seed=CHAOS_SEED)
@@ -115,7 +115,7 @@ def measure_resilience(
         started = time.perf_counter()
         clean = run_sweep(
             grid, cache=cache, jobs=jobs,
-            backend="queue", backend_options=dict(QUEUE_OPTIONS),
+            backend_options=dict(QUEUE_OPTIONS),
         )
         clean_wall = min(clean_wall, time.perf_counter() - started)
         identical = identical and _digest(clean) == reference
@@ -123,7 +123,6 @@ def measure_resilience(
         started = time.perf_counter()
         chaos = run_sweep(
             grid, cache=cache, jobs=jobs,
-            backend="queue",
             backend_options={**QUEUE_OPTIONS, "chaos": chaos_plan},
         )
         chaos_wall = min(chaos_wall, time.perf_counter() - started)
@@ -151,15 +150,15 @@ def measure_resilience(
 # -- pytest-benchmark entry points ------------------------------------------
 
 
-def test_queue_backend_matches_pool(benchmark, suite_runs):
-    """Fault-free queue backend is bit-identical to serial and the pool."""
+def test_dispatcher_matches_serial(benchmark, suite_runs):
+    """A fault-free dispatched sweep is bit-identical to the inline one."""
     cache = TraceCache(droidbench=suite_runs)
     cache.prime_replay_state()
     serial = run_sweep(SMOKE_GRID, cache=cache, jobs=1)
     queued = benchmark.pedantic(
         lambda: run_sweep(
             SMOKE_GRID, cache=cache, jobs=2,
-            backend="queue", backend_options=dict(QUEUE_OPTIONS),
+            backend_options=dict(QUEUE_OPTIONS),
         ),
         rounds=1, iterations=1,
     )
@@ -177,13 +176,12 @@ def test_chaos_mortality_parity_and_overhead(benchmark, suite_runs):
     started = time.perf_counter()
     clean = run_sweep(
         FULL_GRID, cache=cache, jobs=4,
-        backend="queue", backend_options=dict(QUEUE_OPTIONS),
+        backend_options=dict(QUEUE_OPTIONS),
     )
     clean_wall = time.perf_counter() - started
     chaos = benchmark.pedantic(
         lambda: run_sweep(
             FULL_GRID, cache=cache, jobs=4,
-            backend="queue",
             backend_options={**QUEUE_OPTIONS, "chaos": chaos_plan},
         ),
         rounds=1, iterations=1,
@@ -210,7 +208,7 @@ def test_chaos_mortality_parity_and_overhead(benchmark, suite_runs):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="PIFT queue-backend resilience benchmark (standalone)"
+        description="PIFT sweep-dispatcher resilience benchmark (standalone)"
     )
     parser.add_argument("--smoke", action="store_true",
                         help="reduced grid + relaxed ratio bar for CI")

@@ -1,6 +1,6 @@
 """Extension — cross-process telemetry relay overhead on a parallel sweep.
 
-The :class:`~repro.telemetry.relay.TelemetryRelay` ships every pool
+The :class:`~repro.telemetry.relay.TelemetryRelay` ships every sweep
 worker's cell spans, heartbeats and metric deltas back to the parent hub
 while a ``--jobs N`` sweep runs.  That observability must stay cheap:
 the telemetered sweep may cost at most :data:`OVERHEAD_BOUND` (10%)
@@ -99,7 +99,7 @@ def measure_relay_overhead(
     The telemetered run gets a fresh :class:`Telemetry` hub each round
     so the relay (worker bootstrap, queue drain thread, heartbeats,
     metric merging) is exercised end to end exactly as ``--telemetry``
-    would; the off run is the plain pool path.
+    would; the off run is the same dispatched sweep without a relay.
     """
     timings = {}
     digests = {}

@@ -12,7 +12,7 @@ Measures the three performance claims the replay stack makes:
    (``repro.core.vectorized``) beats the scalar column loop by >= 5x
    with bit-identical verdicts and stats.
 4. **Digest payloads** — with an ``ArtifactStore`` backing the cache,
-   pool workers receive store digests instead of pickled suites; the
+   sweep workers receive store digests instead of pickled suites; the
    transfer saving (pickled payload bytes, with vs without a store)
    must exceed 50%.
 
@@ -174,7 +174,7 @@ def measure_vectorized(events: int = 150_000, rounds: int = 3) -> dict:
 def measure_transfer_saving(cache: TraceCache, store_dir) -> dict:
     """Pickled worker-payload bytes: full suites vs store path + digests.
 
-    Every pool worker receives ``cache.payload()`` under spawn; with a
+    Every sweep worker receives ``cache.payload()`` under spawn; with a
     backing store the payload carries content digests instead of the
     recorded suites, and the workers read the store themselves.
     """
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
         ok = ok and gate_ok
     if not args.smoke and cpus > 1:
         # With real cores available, parallel must beat serial wall-clock.
-        # (On a single-CPU box the pool can only add overhead; parity is
+        # (On a single-CPU box the workers can only add overhead; parity is
         # still asserted, the speedup claim is not testable.)
         ok = ok and payload["scaling"]["best_speedup"] > 1.0
     return 0 if ok else 1

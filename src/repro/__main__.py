@@ -84,33 +84,26 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_dispatcher_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", choices=["pool", "queue"], default="pool",
-        help="parallel execution backend: 'pool' (multiprocessing.Pool, "
-             "the default) or 'queue' (fault-tolerant lease dispatcher: "
-             "survives worker deaths via retries and quarantines "
-             "repeatedly-failing cells as poison)",
+        "--lease-timeout", type=float, default=None, metavar="SECONDS",
+        help="worker dispatcher (--jobs > 1): seconds a cell may go "
+             "un-heartbeated before its worker is declared dead and the "
+             "cell requeues (default 30)",
     )
     parser.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="queue backend: seconds a cell may go un-heartbeated before "
-             "its worker is declared dead and the cell requeues "
-             "(default 30)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
-        help="queue backend: failed attempts beyond the first before a "
-             "cell is quarantined as poison (default 3)",
+        "--max-retries", type=int, default=None, metavar="N",
+        help="worker dispatcher: failed attempts beyond the first before "
+             "a cell is quarantined as poison (default 3)",
     )
     parser.add_argument(
         "--max-worker-restarts", type=int, default=None, metavar="N",
-        help="queue backend: replacement workers spawned across the run "
-             "(default 4x --jobs)",
+        help="worker dispatcher: replacement workers spawned across the "
+             "run (default 4x --jobs)",
     )
     parser.add_argument(
         "--chaos", metavar="SPEC", default=None,
-        help="queue backend fault injection for testing, e.g. "
+        help="worker dispatcher fault injection for testing, e.g. "
              "'kill-workers:0.2' (SIGKILL mid-cell), 'hang-workers:0.1' "
              "(freeze until the lease expires), 'fail-cells:0.5' "
              "(deterministic in-cell errors); comma-separate to combine",
@@ -121,18 +114,18 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_options(args):
-    """(backend, backend_options) kwargs for run_sweep from the CLI flags."""
-    if getattr(args, "backend", "pool") != "queue":
-        if getattr(args, "chaos", None):
-            raise SystemExit("--chaos requires --backend queue")
-        return None, None
+def _dispatcher_options(args):
+    """run_sweep's ``backend_options``: the dispatcher flags given.
+
+    The dispatcher only runs at ``--jobs`` above 1, so a dispatcher flag
+    at ``--jobs 1`` is an error rather than a silent no-op.
+    """
     from repro.sweep import ChaosError, ChaosPlan
 
     options = {
-        "lease_timeout": args.lease_timeout,
-        "max_retries": args.max_retries,
-        "max_worker_restarts": args.max_worker_restarts,
+        name: getattr(args, name)
+        for name in ("lease_timeout", "max_retries", "max_worker_restarts")
+        if getattr(args, name) is not None
     }
     if args.chaos:
         try:
@@ -141,7 +134,11 @@ def _backend_options(args):
             )
         except ChaosError as error:
             raise SystemExit(f"--chaos: {error}")
-    return "queue", options
+    if options and args.jobs == 1:
+        flags = ", ".join("--" + name.replace("_", "-") for name in options)
+        raise SystemExit(f"{flags} configure the worker dispatcher, "
+                         "which runs only at --jobs above 1")
+    return options or None
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -414,6 +411,7 @@ def cmd_sweep(args) -> int:
     from repro.apps.droidbench import record_suite
     from repro.sweep import GridSpec, TraceCache, run_sweep
 
+    backend_options = _dispatcher_options(args)
     windows = _parse_axis(args.windows)
     caps = _parse_axis(args.caps)
     rates = [float(rate) for rate in args.rates.split(",") if rate.strip()]
@@ -452,7 +450,6 @@ def cmd_sweep(args) -> int:
     else:
         cache = TraceCache(droidbench=record_suite(telemetry=telemetry))
         work = spec
-    backend, backend_options = _backend_options(args)
     result = run_sweep(
         work,
         cache=cache,
@@ -462,7 +459,6 @@ def cmd_sweep(args) -> int:
         journal=journal,
         stall_timeout=args.stall_timeout,
         on_stall=_stall_printer(args),
-        backend=backend,
         backend_options=backend_options,
     )
     if result.poisoned:
@@ -1081,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(accuracy values unchanged; changes the journal "
              "fingerprint, so resume colour runs with colour journals)",
     )
-    _add_backend_arguments(sweep_cmd)
+    _add_dispatcher_arguments(sweep_cmd)
     _add_store_arguments(sweep_cmd)
     _add_telemetry_arguments(sweep_cmd, with_json=True)
     _add_observability_arguments(sweep_cmd)

@@ -131,7 +131,8 @@ def sweep(
     """The Figure 11 heatmap: accuracy over NI x NT.
 
     Runs on the :mod:`repro.sweep` engine: the grid is expanded to cells
-    and evaluated inline (``jobs=1``) or across a worker pool — with
+    and evaluated inline (``jobs=1``) or across worker processes on the
+    lease dispatcher (``jobs > 1``), which survives worker deaths — with
     identical accuracies either way, since every cell replays the same
     recorded runs.
     """
@@ -150,7 +151,7 @@ def sweep(
         progress=progress,
     )
     grid = np.zeros((len(propagation_caps), len(window_sizes)))
-    for cell in result.cells:
+    for cell in result.complete_cells():
         grid.flat[cell.index] = cell.accuracy
     return AccuracyGrid(
         window_sizes=list(window_sizes),

@@ -304,7 +304,7 @@ def degradation_curve(
         stall_timeout=stall_timeout, on_stall=on_stall,
     )
     curve = DegradationCurve(config=config, site=site, seed=seed)
-    for cell in result.cells:
+    for cell in result.complete_cells():
         curve.points.append(
             DegradationPoint(
                 rate=cell.rate,
@@ -355,7 +355,7 @@ def degradation_grid(
     grid: Dict[Tuple[int, int], DegradationCurve] = {}
     for position, config in enumerate(configs):
         curve = DegradationCurve(config=config, site=site, seed=seed)
-        for cell in result.cells[
+        for cell in result.complete_cells()[
             position * len(rates):(position + 1) * len(rates)
         ]:
             curve.points.append(

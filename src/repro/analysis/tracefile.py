@@ -15,8 +15,9 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.core.events import EventTrace, checked_columns
-from repro.core.ranges import AddressRange
+from repro.core.events import (
+    EventTrace, checked_columns, checked_int64, checked_range,
+)
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 
 FORMAT_NAME = "pift-trace"
@@ -122,29 +123,47 @@ def encode_recorded_run(recorded: RecordedRun) -> dict:
 
 
 def decode_recorded_run(body: dict) -> RecordedRun:
-    """Rebuild a :class:`RecordedRun` from :func:`encode_recorded_run`."""
+    """Rebuild a :class:`RecordedRun` from :func:`encode_recorded_run`.
+
+    Sources and sink checks are held to the wire's rules
+    (:func:`~repro.core.events.checked_range` and
+    :func:`~repro.core.events.checked_int64`): ``start``, ``size``,
+    ``index`` and ``pid`` must be exact ints, the range non-empty and
+    inside int64.  A bad field raises :class:`TraceFormatError`.
+    """
     recorded = RecordedRun(trace=_decode_events(body["events"]))
     for source in body["sources"]:
+        address_range, index, pid = _range_index_pid(source, "source")
         recorded.sources.append(
             SourceRegistration(
-                AddressRange.from_base_size(source["start"], source["size"]),
-                source["index"],
+                address_range,
+                index,
                 source["name"],
-                pid=source.get("pid", 0),
+                pid=pid,
                 colour=source.get("colour"),
             )
         )
     for check in body["sink_checks"]:
+        address_range, index, pid = _range_index_pid(check, "sink check")
         recorded.sink_checks.append(
             SinkCheck(
-                AddressRange.from_base_size(check["start"], check["size"]),
-                check["index"],
+                address_range,
+                index,
                 check["name"],
                 check["channel"],
-                pid=check.get("pid", 0),
+                pid=pid,
             )
         )
     return recorded
+
+
+def _range_index_pid(record: dict, what: str):
+    """A stored source's or check's checked range, index and PID."""
+    return (
+        checked_range(record["start"], record["size"], what, TraceFormatError),
+        checked_int64(record["index"], f"{what} index", TraceFormatError),
+        checked_int64(record.get("pid", 0), f"{what} pid", TraceFormatError),
+    )
 
 
 def save_recorded_run(recorded: RecordedRun, path: Union[str, Path]) -> Path:

@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.core.tracker import StateFactory
 from repro.core.ranges import RangeSet
-from repro.isa.cpu import CPU, FullTraceRecorder, TraceRecorder
+from repro.isa.cpu import CPU, FullTraceRecorder
 from repro.dalvik import DalvikVM, Method, VMArray, VMInstance, VMString
 from repro.android.framework import (
     AndroidFramework,
@@ -119,8 +119,6 @@ class AndroidDevice:
         self.module = PIFTKernelModule(self.hw)
         self.native = PIFTNative(self.module)
         self.recorded = RecordedRun()
-        self._trace_recorder = TraceRecorder()
-        self.recorded.trace = self._trace_recorder.trace
         self.full_trace = FullTraceRecorder() if keep_full_trace else None
 
         self.cpu.add_observer(self._on_instruction)
@@ -134,12 +132,14 @@ class AndroidDevice:
     # -- PIFT wiring ------------------------------------------------------------
 
     def _on_instruction(self, record, index: int, pid: int) -> None:
+        # One event object per memory instruction: the hardware module
+        # and the recorded trace share it (MemoryAccess is immutable).
         if record.is_memory:
             event = MemoryAccess(record.kind, record.address_range, index, pid)
             self.hw.on_memory_event(event)
-            self._trace_recorder(record, index, pid)
+            self.recorded.trace.append(event)
         else:
-            self._trace_recorder(record, index, pid)
+            self.recorded.trace.note_instruction(index, pid)
         if self.full_trace is not None:
             self.full_trace(record, index, pid)
 

@@ -59,7 +59,8 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 from repro.core.colours import ColourSpace
 from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
 from repro.core.events import (
-    AccessKind, EventColumns, MemoryAccess, checked_columns,
+    AccessKind, EventColumns, MemoryAccess, checked_columns, checked_int64,
+    checked_range,
 )
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
@@ -683,35 +684,32 @@ class BufferedPIFT:
     def restore(self, snapshot: dict) -> None:
         """Restore a :meth:`snapshot` exactly (construction params aside).
 
-        The FIFO and spill rows go through the decoders' checks
-        (:func:`~repro.core.events.checked_columns`), so a malformed row
-        raises :class:`ValueError` before any state changes.
+        Every row is checked before any state changes: the FIFO and
+        spill rows go through the decoders' checks
+        (:func:`~repro.core.events.checked_columns`), and the pending
+        checks and late detections through the same int rules (exact
+        ``int`` fields inside int64, a non-empty range, a ``bool``
+        ``degraded``, colours as a list of strings).  A malformed row
+        raises :class:`ValueError` and leaves the buffer as it was.
         """
         queue = _unpack_events(snapshot["queue"], "queue")
         spill = _unpack_events(snapshot["spill"], "spill")
+        pending = _unpack_pending(snapshot["pending"])
+        late_detections = _unpack_late(snapshot["late_detections"])
+        stats = BufferStats.from_dict(snapshot["stats"])
+        backpressure = bool(snapshot["backpressure"])
+        enqueue_seq = int(snapshot["enqueue_seq"])
+        retired_seq = int(snapshot["retired_seq"])
         self.tracker.restore(snapshot["tracker"])
         self._queue, self._queue_depth = _segments(queue)
         self._spill, self._spill_depth = _segments(spill)
         self._tail = None
-        self.stats = BufferStats.from_dict(snapshot["stats"])
-        self._pending_immediate = [
-            (sink, AddressRange(int(start), int(end)), int(pid),
-             int(behind), int(barrier))
-            for sink, start, end, pid, behind, barrier in snapshot["pending"]
-        ]
-        self.late_detections = [
-            LateDetection(
-                packed[0],
-                AddressRange(int(packed[1]), int(packed[2])),
-                int(packed[3]),
-                degraded=bool(packed[4]),
-                colours=tuple(packed[5]) if len(packed) > 5 else (),
-            )
-            for packed in snapshot["late_detections"]
-        ]
-        self._backpressure = bool(snapshot["backpressure"])
-        self._enqueue_seq = int(snapshot["enqueue_seq"])
-        self._retired_seq = int(snapshot["retired_seq"])
+        self.stats = stats
+        self._pending_immediate = pending
+        self.late_detections = late_detections
+        self._backpressure = backpressure
+        self._enqueue_seq = enqueue_seq
+        self._retired_seq = retired_seq
 
 
 #: A snapshot row's kind (:class:`~repro.core.events.AccessKind` value)
@@ -721,26 +719,78 @@ _KIND_LETTERS = {AccessKind.LOAD.value: "l", AccessKind.STORE.value: "s"}
 
 def _unpack_events(rows, name: str) -> EventColumns:
     """Snapshot rows ``[kind, start, end, index, pid]`` as checked columns."""
-    def error(message: str) -> ValueError:
-        return ValueError(f"snapshot {name}: {message}")
-
-    if type(rows) is not list or not all(
-        type(row) is list and len(row) == 5 for row in rows
-    ):
-        raise error("rows must be [kind, start, end, index, pid] lists")
+    rows = _rows(rows, name, (5,), "[kind, start, end, index, pid]")
     if rows:
         kinds, starts, ends, indices, pids = map(list, zip(*rows))
     else:
         kinds, starts, ends, indices, pids = [], [], [], [], []
-    letters = "".join(
-        _KIND_LETTERS.get(kind, "?") if type(kind) is str else "?"
-        for kind in kinds
-    )
     return checked_columns(
-        letters,
+        "".join(_KIND_LETTERS.get(kind, "?") for kind in kinds),
         {"starts": starts, "ends": ends, "indices": indices, "pids": pids},
-        error,
+        _row_error(name),
     )
+
+
+def _row_error(name: str) -> Callable[[str], ValueError]:
+    return lambda message: ValueError(f"snapshot {name}: {message}")
+
+
+def _rows(rows, name: str, lengths: Tuple[int, ...], shape: str) -> list:
+    """``rows`` if it is a list of lists whose lengths are in ``lengths``,
+    each starting with a string (an access kind or a sink name)."""
+    if type(rows) is not list or not all(
+        type(row) is list and len(row) in lengths and type(row[0]) is str
+        for row in rows
+    ):
+        raise _row_error(name)(f"rows must be {shape} lists")
+    return rows
+
+
+def _span(start, end, what: str, error) -> AddressRange:
+    """An inclusive ``start``/``end`` pair under the decoders' range rule."""
+    checked_int64(start, f"{what} start", error)
+    checked_int64(end, f"{what} end", error)
+    return checked_range(start, end - start + 1, what, error)
+
+
+def _unpack_pending(rows) -> List[tuple]:
+    """Snapshot rows ``[sink, start, end, pid, behind, barrier]``."""
+    error = _row_error("pending")
+    return [
+        (
+            sink,
+            _span(start, end, "check", error),
+            checked_int64(pid, "pid", error),
+            checked_int64(behind, "events behind", error),
+            checked_int64(barrier, "barrier", error),
+        )
+        for sink, start, end, pid, behind, barrier in _rows(
+            rows, "pending", (6,), "[sink, start, end, pid, behind, barrier]"
+        )
+    ]
+
+
+def _unpack_late(rows) -> List[LateDetection]:
+    """Snapshot rows ``[sink, start, end, behind, degraded(, colours)]``."""
+    error = _row_error("late_detections")
+    detections = []
+    for row in _rows(rows, "late_detections", (5, 6),
+                     "[sink, start, end, behind, degraded(, colours)]"):
+        colours = row[5] if len(row) > 5 else []
+        if type(row[4]) is not bool:
+            raise error(f"degraded must be a bool, got {row[4]!r}")
+        if type(colours) is not list or not all(
+            type(colour) is str for colour in colours
+        ):
+            raise error(f"colours must be a list of strings, got {colours!r}")
+        detections.append(LateDetection(
+            row[0],
+            _span(row[1], row[2], "detection", error),
+            checked_int64(row[3], "events behind", error),
+            degraded=row[4],
+            colours=tuple(colours),
+        ))
+    return detections
 
 
 def _segments(columns: EventColumns) -> Tuple[Deque[list], int]:

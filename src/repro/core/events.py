@@ -274,6 +274,37 @@ def checked_columns(
     )
 
 
+def checked_int64(
+    value, what: str, error: Callable[[str], Exception] = ValueError
+) -> int:
+    """``value`` if it is an exact ``int`` inside int64, the rule
+    :func:`checked_columns` holds indices and PIDs to; anything else
+    raises ``error(message)``."""
+    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
+        raise error(f"{what} must be a 64-bit integer, got {value!r}")
+    return value
+
+
+def checked_range(
+    start, size, what: str, error: Callable[[str], Exception] = ValueError
+) -> AddressRange:
+    """A ``start``/``size`` pair as an :class:`AddressRange`, under
+    :func:`checked_columns`' rules for one event: both exact ``int``,
+    the start non-negative, the size at least 1 and the end inside
+    int64.  Anything else raises ``error(message)``."""
+    if type(start) is not int or type(size) is not int:
+        raise error(
+            f"{what} start/size must be integers, got {start!r}/{size!r}"
+        )
+    if start < 0 or size < 1:
+        raise error(
+            f"{what} needs a start >= 0 and a size >= 1, got "
+            f"{start!r}/{size!r}"
+        )
+    end = checked_int64(start + size - 1, f"{what} end", error)
+    return AddressRange(start, end)
+
+
 class EventTrace:
     """A recorded memory-event stream plus the total instruction count.
 

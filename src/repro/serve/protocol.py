@@ -44,7 +44,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.analysis.replay import replay_plan_for, source_colour
 from repro.android.device import RecordedRun
 from repro.core.events import (
-    INT64_MAX, INT64_MIN, EventColumns, MemoryAccess, checked_columns,
+    EventColumns, MemoryAccess, checked_columns, checked_int64, checked_range,
 )
 from repro.core.ranges import AddressRange
 
@@ -143,13 +143,6 @@ def _columns_frame(columns: EventColumns, start: int, stop: int) -> dict:
 _EVENT_COLUMNS = ("starts", "sizes", "indices", "pids")
 
 
-def _int64(value, what: str) -> int:
-    """``value`` if it is an ``int`` (not ``bool``) that fits an int64."""
-    if type(value) is not int or not INT64_MIN <= value <= INT64_MAX:
-        raise ProtocolError(f"{what} must be a 64-bit integer, got {value!r}")
-    return value
-
-
 def _frame_error(message: str) -> ProtocolError:
     return ProtocolError(f"events frame {message}")
 
@@ -219,31 +212,23 @@ def decode_events(frame: dict) -> Iterator[MemoryAccess]:
 def frame_range(frame: dict) -> AddressRange:
     """The ``start``/``size`` pair of a source/check frame as a range.
 
-    Both must be ``int`` (not ``bool`` or ``float``), the start
-    non-negative, the size at least 1 and the end inside int64; anything
-    else raises :class:`ProtocolError`.
+    Held to the rule stored sources and checks get
+    (:func:`~repro.core.events.checked_range`): both ``int`` (not
+    ``bool`` or ``float``), the start non-negative, the size at least 1
+    and the end inside int64; anything else raises
+    :class:`ProtocolError`.
     """
     try:
         start, size = frame["start"], frame["size"]
     except KeyError as error:
         raise ProtocolError(f"frame lacks a valid range: {error}") from error
-    if type(start) is not int or type(size) is not int:
-        raise ProtocolError(
-            f"frame range start/size must be integers, got "
-            f"{start!r}/{size!r}"
-        )
-    try:
-        address_range = AddressRange.from_base_size(start, size)
-    except ValueError as error:
-        raise ProtocolError(f"frame lacks a valid range: {error}") from error
-    _int64(address_range.end, "frame range end")
-    return address_range
+    return checked_range(start, size, "frame range", ProtocolError)
 
 
 def frame_pid(frame: dict) -> int:
     """The ``pid`` of a source/check frame (0 when absent), held to the
     same rule as an ``events`` frame's ``pids``: an ``int`` in int64."""
-    return _int64(frame.get("pid", 0), "frame pid")
+    return checked_int64(frame.get("pid", 0), "frame pid", ProtocolError)
 
 
 def run_to_frames(

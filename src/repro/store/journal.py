@@ -16,7 +16,7 @@ Crash-safety invariants:
   clean file rather than concatenating onto the fragment), and warned
   about; the cell it described simply re-runs;
 * fault-tolerance bookkeeping rides in the same stream: ``attempt``
-  records mark a cell requeued by the queue backend, ``poison`` records
+  records mark a cell requeued by the lease dispatcher, ``poison`` records
   mark a cell quarantined after its retry budget — a later ``cell``
   record for the same index supersedes its poison record (completed
   wins), so a resumed run can cure a previously poisoned cell;
@@ -158,7 +158,7 @@ class RunJournal:
         self.total_cells = total_cells
         #: index -> raw journal record of every checkpointed cell.
         self.completed: Dict[int, dict] = dict(completed or {})
-        #: index -> requeue records (queue backend retries), append order.
+        #: index -> requeue records (dispatcher retries), append order.
         self.attempts: Dict[int, List[dict]] = dict(attempts or {})
         #: index -> poison record for cells quarantined after their retry
         #: budget — never holds an index that also appears in ``completed``
@@ -339,7 +339,7 @@ class RunJournal:
         self.poisoned.pop(result.index, None)
 
     def append_attempt(self, cell_index: int, attempt: int, reason: str) -> None:
-        """Record a queue-backend requeue: attempt N of this cell failed."""
+        """Record a dispatcher requeue: attempt N of this cell failed."""
         record = {
             "type": "attempt",
             "index": cell_index,

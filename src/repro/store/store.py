@@ -140,7 +140,7 @@ class ArtifactStore:
 
     Args:
         root: store directory (created on first write unless read-only).
-        read_only: pool workers open the store read-only — reads never
+        read_only: sweep workers open the store read-only — reads never
             mutate the tree (no quarantine moves, no counter files), so
             any number of concurrent readers is safe by construction.
         telemetry: optional hub; mirrors the instance counters onto the

@@ -2,17 +2,15 @@
 
 Declarative experiment grids (:class:`GridSpec` → :class:`SweepCell`)
 evaluated over a record-once/replay-many :class:`TraceCache`, inline or
-across a ``multiprocessing`` pool (:func:`run_sweep`).  Results are
-bit-identical at any worker count; ``--jobs`` only changes wall-clock
-time.  The ``analysis.accuracy`` / ``analysis.degradation`` entry points
-and the ``python -m repro sweep`` CLI are built on this engine.
+across worker processes (:func:`run_sweep`).  Results are bit-identical
+at any worker count; ``--jobs`` only changes wall-clock time.  The
+``analysis.accuracy`` / ``analysis.degradation`` entry points and the
+``python -m repro sweep`` CLI are built on this engine.
 
-Two parallel backends share the engine contract: the classic pool
-(``backend="pool"``) and the fault-tolerant lease-based queue
-(``backend="queue"``, :class:`QueueBackend`) which survives worker
-deaths via TTL leases, exponential-backoff retries, and poison-cell
-quarantine — with a deterministic chaos harness (:class:`ChaosPlan`)
-to prove it.
+Every ``jobs > 1`` sweep runs on the lease dispatcher
+(:class:`QueueBackend`), which survives worker deaths via TTL leases,
+exponential-backoff retries, and poison-cell quarantine — with a
+deterministic chaos harness (:class:`ChaosPlan`) to prove it.
 """
 
 from repro.sweep.cache import TraceCache
@@ -20,7 +18,6 @@ from repro.sweep.chaos import ChaosError, ChaosFailure, ChaosPlan
 from repro.sweep.dispatch import DispatchError, DispatchStats, QueueBackend
 from repro.sweep.engine import (
     CellResult,
-    PoolBackend,
     SweepResult,
     run_cell,
     run_sweep,
@@ -52,7 +49,6 @@ __all__ = [
     "Lease",
     "LeaseSupervisor",
     "PoisonedCell",
-    "PoolBackend",
     "QueueBackend",
     "STATE_FACTORIES",
     "SweepCell",

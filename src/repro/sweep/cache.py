@@ -14,7 +14,7 @@ recording pass first checks the store by content digest, and only a miss
 (or a quarantined corrupt entry) actually simulates — a second CLI
 invocation against the same store performs **zero** recordings.
 
-The cache crosses into pool workers as a plain picklable payload
+The cache crosses into dispatcher workers as a plain picklable payload
 (:meth:`payload` / :meth:`from_payload`).  Without a store that payload
 carries the full recorded suites; with one, it carries only the store
 path and entry digests — workers re-open the store read-only and load
@@ -149,7 +149,7 @@ class TraceCache:
         return {"runs": runs}
 
     def payload(self) -> Dict:
-        """The picklable form handed to pool-worker initializers."""
+        """The picklable form each sweep worker rebuilds the cache from."""
         payload: Dict = {"malware_work": self.malware_work}
         if self.backing_store is not None:
             from repro.store import droidbench_key, malware_key

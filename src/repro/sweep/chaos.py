@@ -1,4 +1,4 @@
-"""Deterministic chaos harness for the queue backend.
+"""Deterministic chaos harness for the sweep's lease dispatcher.
 
 Proving the fault-tolerance acceptance bar ("bit-identical grids with
 workers dying and joining mid-run") needs workers that *actually die*,

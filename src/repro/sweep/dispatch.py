@@ -1,14 +1,13 @@
-"""The fault-tolerant work-queue backend for :func:`repro.sweep.run_sweep`.
+"""The lease dispatcher that runs every ``jobs > 1`` sweep.
 
-The classic pool backend trusts its workers: ``multiprocessing.Pool``
-with a SIGKILLed child loses the cell it was chewing on and usually the
-whole sweep.  This module replaces that trust with leases:
+Worker processes can die mid-cell (SIGKILL, OOM, a segfaulting native
+dependency) or hang.  The dispatcher does not trust them; it leases:
 
 * the parent assigns one cell at a time to each worker process over a
   private duplex pipe, granting a TTL **lease**
   (:class:`~repro.sweep.leases.LeaseSupervisor`) at assignment;
 * workers heartbeat over the same pipe (and, when telemetry is on, via
-  the existing relay heartbeats — both renew the lease);
+  the relay heartbeats — both renew the lease);
 * a dead worker (process exit) or an expired lease (hung/SIGSTOPped
   process, which the parent then SIGKILLs) requeues the cell with
   exponential backoff + deterministic jitter and respawns a replacement
@@ -17,16 +16,16 @@ whole sweep.  This module replaces that trust with leases:
   **poison cell**: journaled, counted, reported — the sweep completes
   with an explicit machine-readable hole instead of crashing.
 
-Because cells are pure functions of ``(cell, cache)`` (the PR-3/PR-5
-contract), re-running a lost attempt reproduces the identical result, so
-a sweep with workers dying and joining mid-run is bit-identical to a
-fault-free serial run — the chaos harness (:mod:`repro.sweep.chaos`) and
+Because cells are pure functions of ``(cell, cache)``, re-running a lost
+attempt reproduces the identical result, so a sweep with workers dying
+and joining mid-run is bit-identical to a fault-free serial run — the
+chaos harness (:mod:`repro.sweep.chaos`) and
 ``benchmarks/bench_queue_resilience.py`` hold that bar.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ _STOP_GRACE = 1.0
 
 
 class DispatchError(RuntimeError):
-    """The queue backend cannot make progress (workers exhausted)."""
+    """The dispatcher cannot make progress (workers exhausted)."""
 
 
 @dataclass
@@ -57,7 +56,6 @@ class DispatchStats:
     retries: int = 0
     worker_deaths: int = 0
     worker_restarts: int = 0
-    lease_renewals: int = 0
     poisoned: List[PoisonedCell] = field(default_factory=list)
 
 
@@ -73,13 +71,35 @@ def _queue_worker_main(
 ) -> None:
     """Long-lived worker loop: recv cell, claim, evaluate, ship result.
 
-    All sends share one lock (the heartbeat thread and the main thread
-    write the same pipe); a vanished parent turns sends into no-ops and
-    the next ``recv`` ends the loop.
+    The worker rebuilds the trace cache once, from ``cache_payload``, and
+    with telemetry on (``relay_payload``) its own relay-backed hub.  All
+    sends share one lock (the heartbeat thread and the main thread write
+    the same pipe); a vanished parent turns sends into no-ops and the
+    next ``recv`` ends the loop.
     """
-    from repro.sweep import engine
+    from repro.sweep.cache import TraceCache
+    from repro.sweep.engine import run_cell
 
-    engine._init_worker(cache_payload, relay_payload)
+    telemetry = None
+    if relay_payload is not None:
+        from repro.telemetry.relay import init_worker_telemetry
+
+        telemetry = init_worker_telemetry(relay_payload)
+    cache = TraceCache.from_payload(cache_payload, telemetry=telemetry)
+
+    def evaluate(cell):
+        if telemetry is None:
+            return run_cell(cell, cache)
+        client = telemetry.relay_client
+        client.current_cell = cell.index
+        client.heartbeat()  # mark the cell busy before any work happens
+        try:
+            result = run_cell(cell, cache, telemetry=telemetry)
+        finally:
+            client.current_cell = None
+        client.ship_snapshot(telemetry.metrics, cell.index)
+        return result
+
     chaos = ChaosPlan.from_payload(chaos_payload)
     injector = ChaosInjector(chaos) if chaos is not None else None
     send_lock = threading.Lock()
@@ -115,12 +135,10 @@ def _queue_worker_main(
             try:
                 if injector is not None:
                     result = injector.run(
-                        cell.index,
-                        attempt,
-                        lambda: engine._run_cell_in_worker(cell),
+                        cell.index, attempt, lambda: evaluate(cell)
                     )
                 else:
-                    result = engine._run_cell_in_worker(cell)
+                    result = evaluate(cell)
             except Exception as error:
                 current_cell[0] = None
                 send(
@@ -155,7 +173,11 @@ class _WorkerHandle:
 
 
 class QueueBackend:
-    """Lease-based dispatcher implementing the sweep backend interface.
+    """The lease dispatcher :func:`~repro.sweep.run_sweep` builds for
+    every ``jobs > 1`` sweep.
+
+    Each :meth:`run` starts from no workers and zeroed :attr:`stats`, so
+    one instance may run several batches in turn.
 
     Args:
         jobs: worker process count (replacements stay under this cap).
@@ -175,8 +197,6 @@ class QueueBackend:
             uses for journaling and telemetry events.
     """
 
-    name = "queue"
-
     def __init__(
         self,
         jobs: int,
@@ -186,19 +206,18 @@ class QueueBackend:
         backoff: Optional[BackoffPolicy] = None,
         chaos: Optional[ChaosPlan] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        context=None,
         on_retry: Optional[Callable[[int, int, str], None]] = None,
         on_poison: Optional[Callable[[PoisonedCell], None]] = None,
         on_death: Optional[Callable[[int, Optional[int]], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if context is None:
-            from repro.sweep.engine import _pool_context
-
-            context = _pool_context()
         self.jobs = jobs
-        self.context = context
+        #: Where workers start: fork where the platform has it.
+        self.context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         self.lease_timeout = lease_timeout
         self.max_retries = max_retries
         self.max_worker_restarts = (
@@ -211,10 +230,6 @@ class QueueBackend:
         self.on_poison = on_poison
         self.on_death = on_death
         self.stats = DispatchStats()
-        self._workers: List[_WorkerHandle] = []
-        self._next_ident = 0
-        self._cache_payload: Optional[dict] = None
-        self._relay_payload: Optional[dict] = None
         #: pids whose relay heartbeats arrived since the last tick
         #: (filled from the relay drain thread, applied on the main loop).
         self._relay_beats: set = set()
@@ -376,6 +391,11 @@ class QueueBackend:
         with cells still outstanding.
         """
         pending = list(pending)
+        # A fresh start: a reused backend must never send cells to the
+        # workers its previous run stopped.
+        self.stats = DispatchStats()
+        self._workers: List[_WorkerHandle] = []
+        self._next_ident = 0
         self._cache_payload = cache_payload
         self._relay_payload = relay_payload
         now = time.monotonic()
@@ -402,7 +422,6 @@ class QueueBackend:
         finally:
             self._shutdown()
         self.stats.retries = supervisor.retries
-        self.stats.lease_renewals = supervisor.renewals
         return self.stats
 
     def _assign(self, supervisor: LeaseSupervisor, now: float) -> None:
@@ -459,7 +478,7 @@ class QueueBackend:
             return
         if self.stats.worker_restarts >= self.max_worker_restarts:
             raise DispatchError(
-                f"queue backend out of workers: {supervisor.outstanding()} "
+                f"dispatcher out of workers: {supervisor.outstanding()} "
                 f"cells outstanding, {self.stats.worker_deaths} worker "
                 f"deaths, restart budget {self.max_worker_restarts} spent"
             )

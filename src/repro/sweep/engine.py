@@ -1,13 +1,16 @@
-"""The parallel experiment engine: fan sweep cells across a process pool.
+"""The parallel experiment engine: evaluate sweep cells inline or across
+worker processes.
 
 ``run_sweep`` takes an iterable of :class:`~repro.sweep.specs.SweepCell`
 (or a :class:`~repro.sweep.specs.GridSpec`) and evaluates every cell,
-either inline (``jobs=1``) or across a ``multiprocessing`` pool.  The
-contract is *bit-identical results at any worker count*: cells are pure
-functions of ``(cell, trace cache)``, the cache is recorded once in the
-parent, per-cell seeds are fixed in the specs, and results are collected
-in submission order — so ``--jobs 8`` may only change wall-clock time,
-never a verdict, a stat, or a fault draw.
+either inline (``jobs=1``) or across the lease dispatcher
+(:class:`~repro.sweep.dispatch.QueueBackend`, ``jobs > 1``), which
+survives worker deaths.  The contract is *bit-identical results at any
+worker count*: cells are pure functions of ``(cell, trace cache)``, the
+cache is recorded once in the parent, per-cell seeds are fixed in the
+specs, and results are returned in submission order — so ``--jobs 8``
+may only change wall-clock time, never a verdict, a stat, or a fault
+draw.
 
 Worker-side evaluation mirrors :func:`repro.analysis.degradation
 .degradation_curve`'s per-point logic exactly (the rewired analysis entry
@@ -20,7 +23,6 @@ loop — parity between the two is covered by
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,6 +31,7 @@ from typing import Callable, Iterable, List, Optional, Union
 from repro.core.config import PIFTConfig
 from repro.core.faults import FaultPlan, FaultRates, FaultStats
 from repro.sweep.cache import TraceCache
+from repro.sweep.dispatch import DispatchError, DispatchStats, QueueBackend
 from repro.sweep.specs import GridSpec, SweepCell, resolve_state_factory
 
 ProgressCallback = Callable[["CellResult", int, int], None]
@@ -104,14 +107,28 @@ class SweepResult:
     #: Cells served from a resume journal instead of being evaluated
     #: (bookkeeping only — the deterministic payload is unaffected).
     resumed: int = 0
-    #: Cells quarantined after exhausting their retry budget (queue
-    #: backend only): explicit machine-readable holes in the grid, each
+    #: Cells quarantined after exhausting their retry budget (``jobs >
+    #: 1`` only): explicit machine-readable holes in the grid, each
     #: ``{"index", "attempts", "error"}``.
     poisoned: List[dict] = field(default_factory=list)
-    #: Queue-backend fault accounting (zeros under the pool backend).
+    #: Dispatcher fault accounting (zeros when run inline).
     retries: int = 0
     worker_deaths: int = 0
     worker_restarts: int = 0
+
+    def complete_cells(self) -> List[CellResult]:
+        """:attr:`cells`, for callers that read them by grid position.
+
+        A poisoned cell is a hole such a caller would silently misread
+        (a shifted slice, a zero, a missing point), so any poisoning
+        raises :class:`~repro.sweep.dispatch.DispatchError` instead.
+        """
+        if self.poisoned:
+            raise DispatchError(
+                "sweep cell {index} poisoned after {attempts} attempts: "
+                "{error}".format(**self.poisoned[0])
+            )
+        return self.cells
 
     def as_dict(self) -> dict:
         """Deterministic payload only (timings live in :meth:`timings`)."""
@@ -258,113 +275,14 @@ def run_cell(
     return result
 
 
-# -- pool plumbing -----------------------------------------------------------
+def _dispatch_hooks(journal, telemetry) -> dict:
+    """The dispatcher's observer callbacks for one sweep.
 
-_WORKER_CACHE: Optional[TraceCache] = None
-_WORKER_TELEMETRY = None
-
-
-def _init_worker(payload: dict, relay_payload: Optional[dict] = None) -> None:
-    global _WORKER_CACHE, _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = None
-    if relay_payload is not None:
-        from repro.telemetry.relay import init_worker_telemetry
-
-        _WORKER_TELEMETRY = init_worker_telemetry(relay_payload)
-    _WORKER_CACHE = TraceCache.from_payload(
-        payload, telemetry=_WORKER_TELEMETRY
-    )
-
-
-def _run_cell_in_worker(cell: SweepCell) -> CellResult:
-    assert _WORKER_CACHE is not None, "worker initializer did not run"
-    tel = _WORKER_TELEMETRY
-    if tel is None:
-        return run_cell(cell, _WORKER_CACHE)
-    client = tel.relay_client
-    client.current_cell = cell.index
-    client.heartbeat()  # mark the cell busy before any work happens
-    try:
-        result = run_cell(cell, _WORKER_CACHE, telemetry=tel)
-    finally:
-        client.current_cell = None
-    client.ship_snapshot(tel.metrics, cell.index)
-    return result
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    method = (
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    return multiprocessing.get_context(method)
-
-
-class PoolBackend:
-    """The classic ``multiprocessing.Pool`` execution backend.
-
-    Fast and simple, but fragile: a worker dying mid-cell kills the
-    sweep.  :class:`~repro.sweep.dispatch.QueueBackend` implements the
-    same ``run(pending, cache_payload, note, relay_payload)`` interface
-    with leases, retries, and poison-cell quarantine.
+    Retries and poisoned cells go to the journal; with telemetry on,
+    retries, poisonings and worker deaths are also counted and logged.
+    Counters are created lazily at first increment, so a fault-free run
+    exposes the same metric set as an inline one.
     """
-
-    name = "pool"
-
-    def __init__(self, jobs: int, chunksize: int = 1, context=None) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.chunksize = chunksize
-        self.context = context if context is not None else _pool_context()
-
-    def run(
-        self, pending, cache_payload, note, relay_payload=None
-    ) -> None:
-        pending = list(pending)
-        with self.context.Pool(
-            processes=min(self.jobs, len(pending)),
-            initializer=_init_worker,
-            initargs=(cache_payload, relay_payload),
-        ) as pool:
-            for result in pool.imap(
-                _run_cell_in_worker, pending, chunksize=self.chunksize
-            ):
-                note(result)
-
-
-def _resolve_backend(backend, jobs: int, chunksize: int, backend_options):
-    """Turn ``backend`` (None / name / instance) into a backend object."""
-    if backend is None or backend == "pool":
-        if backend_options:
-            raise ValueError(
-                "backend_options only apply to the queue backend; "
-                "pass backend='queue'"
-            )
-        return PoolBackend(jobs=jobs, chunksize=chunksize)
-    if backend == "queue":
-        from repro.sweep.dispatch import QueueBackend
-
-        return QueueBackend(jobs=jobs, **(backend_options or {}))
-    if hasattr(backend, "run"):
-        return backend
-    raise ValueError(
-        f"unknown sweep backend {backend!r}; known: 'pool', 'queue'"
-    )
-
-
-def _wire_queue_hooks(backend, journal, telemetry) -> None:
-    """Attach journaling + telemetry observers to a queue backend.
-
-    Composes with (rather than clobbers) hooks the caller already set on
-    a hand-built :class:`~repro.sweep.dispatch.QueueBackend`.  Counters
-    are created lazily at first increment so fault-free runs expose the
-    same metric set as the pool backend.
-    """
-    user_retry = backend.on_retry
-    user_poison = backend.on_poison
-    user_death = backend.on_death
     observing = telemetry is not None and telemetry.enabled
 
     def on_retry(cell_index: int, attempt: int, reason: str) -> None:
@@ -381,8 +299,6 @@ def _wire_queue_hooks(backend, journal, telemetry) -> None:
                 attempt=attempt,
                 reason=reason,
             )
-        if user_retry is not None:
-            user_retry(cell_index, attempt, reason)
 
     def on_poison(poisoned) -> None:
         if journal is not None:
@@ -400,8 +316,6 @@ def _wire_queue_hooks(backend, journal, telemetry) -> None:
                 attempts=poisoned.attempts,
                 error=poisoned.error,
             )
-        if user_poison is not None:
-            user_poison(poisoned)
 
     def on_death(ident: int, pid) -> None:
         if observing:
@@ -409,12 +323,8 @@ def _wire_queue_hooks(backend, journal, telemetry) -> None:
                 "sweep.worker.deaths", "worker processes lost mid-sweep"
             ).inc()
             telemetry.event("sweep_worker_death", worker=ident, pid=pid)
-        if user_death is not None:
-            user_death(ident, pid)
 
-    backend.on_retry = on_retry
-    backend.on_poison = on_poison
-    backend.on_death = on_death
+    return {"on_retry": on_retry, "on_poison": on_poison, "on_death": on_death}
 
 
 class _EngineInstruments:
@@ -460,21 +370,28 @@ def run_sweep(
     jobs: int = 1,
     telemetry=None,
     progress: Optional[ProgressCallback] = None,
-    chunksize: int = 1,
     journal=None,
     stall_timeout: Optional[float] = None,
     on_stall=None,
-    heartbeat_interval: Optional[float] = None,
-    backend=None,
     backend_options: Optional[dict] = None,
 ) -> SweepResult:
     """Evaluate every cell of ``work``; identical results at any ``jobs``.
 
-    The trace cache is primed (suites recorded, replay plans built) in
-    the parent before any worker exists, then shipped to workers once via
-    the pool initializer.  Results stream back in submission order, so
-    ``progress`` / telemetry see cells as they finish and the returned
-    list is deterministically ordered.
+    At ``jobs=1`` the cells run inline.  At ``jobs > 1`` they run on the
+    lease dispatcher (:class:`~repro.sweep.dispatch.QueueBackend`): the
+    trace cache is primed (suites recorded, replay plans built) in the
+    parent before any worker exists and shipped to each worker once; a
+    worker that dies or goes quiet loses its lease, and its cell is
+    retried on a replacement.  ``backend_options`` are the dispatcher's
+    keyword arguments, e.g. ``{"lease_timeout": 10.0, "max_retries":
+    2}`` or a ``chaos`` plan; passing any at ``jobs=1`` raises
+    :class:`ValueError`, since no dispatcher runs there.  A cell that
+    exhausts its retry budget is quarantined instead of crashing the
+    sweep: it appears in ``SweepResult.poisoned`` (and the journal) and
+    its slot is simply absent from ``cells``.  Because cells are pure,
+    any surviving grid is still bit-identical to a fault-free run's
+    values at those indexes, and the returned list is in submission
+    order whatever order cells finish in.
 
     With a ``journal`` (:class:`repro.store.RunJournal`) every finished
     cell is checkpointed — flushed and fsync'd — before it is reported,
@@ -489,27 +406,21 @@ def run_sweep(
     :class:`~repro.telemetry.relay.TelemetryRelay` is attached: every
     worker gets its own hub whose spans and metric deltas ship back over
     a queue and merge here with ``worker_id``/``cell_index``
-    attribution.  ``stall_timeout`` arms the relay's straggler detector:
-    a worker quiet for longer than that many seconds mid-cell raises a
+    attribution, and its heartbeats renew the worker's lease.
+    ``stall_timeout`` arms the relay's straggler detector: a worker
+    quiet for longer than that many seconds mid-cell raises a
     ``worker_stall`` telemetry event and calls ``on_stall(worker_id,
-    cell_index, quiet_seconds)``.  ``heartbeat_interval`` overrides the
-    worker liveness cadence.  All of it is observational — results stay
-    bit-identical to a telemetry-off run.
-
-    ``backend`` selects the parallel execution strategy: ``"pool"`` (the
-    default ``multiprocessing.Pool``), ``"queue"`` (the fault-tolerant
-    lease dispatcher, :class:`~repro.sweep.dispatch.QueueBackend` —
-    tune it via ``backend_options``, e.g. ``{"lease_timeout": 10.0,
-    "max_retries": 2}``), or a pre-built backend instance.  Under the
-    queue backend a cell that exhausts its retry budget is quarantined
-    instead of crashing the sweep: it appears in ``SweepResult.poisoned``
-    (and the journal) and its slot is simply absent from ``cells``.
-    Because cells are pure, any surviving grid is still bit-identical to
-    a fault-free run's values at those indexes.
+    cell_index, quiet_seconds)``.  All of it is observational — results
+    stay bit-identical to a telemetry-off run.
     """
     cells = list(work.cells() if isinstance(work, GridSpec) else work)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if backend_options and jobs == 1:
+        raise ValueError(
+            "backend_options configure the worker dispatcher, which runs "
+            f"only at jobs > 1: {sorted(backend_options)} at jobs=1"
+        )
     if len({cell.index for cell in cells}) != len(cells):
         raise ValueError("cell indexes must be unique within one sweep")
     done = {}
@@ -558,39 +469,32 @@ def run_sweep(
         if progress is not None:
             progress(result, len(done), len(cells))
 
-    exec_backend = None
-    if pending and (backend is not None or (jobs > 1 and len(pending) > 1)):
-        exec_backend = _resolve_backend(backend, jobs, chunksize, backend_options)
-    dispatch_stats = None
-    if exec_backend is not None:
-        is_queue = hasattr(exec_backend, "renew_lease_by_pid")
-        if is_queue:
-            _wire_queue_hooks(exec_backend, journal, telemetry)
+    stats = DispatchStats()
+    if jobs > 1 and pending:
+        backend = QueueBackend(
+            jobs=jobs,
+            **_dispatch_hooks(journal, telemetry),
+            **(backend_options or {}),
+        )
         relay = None
         relay_payload = None
         if instruments is not None:
             from repro.telemetry.relay import TelemetryRelay
 
-            relay_kwargs = {
-                "stall_timeout": stall_timeout,
-                "on_stall": on_stall,
-            }
-            if heartbeat_interval is not None:
-                relay_kwargs["heartbeat_interval"] = heartbeat_interval
-            if is_queue:
-                # Relay heartbeats double as lease renewals: a worker
-                # deep in a long cell stays leased as long as it keeps
-                # talking to the telemetry relay.
-                relay_kwargs["on_heartbeat"] = exec_backend.renew_lease_by_pid
+            # Relay heartbeats double as lease renewals: a worker deep
+            # in a long cell stays leased as long as it keeps talking to
+            # the telemetry relay.
             relay = TelemetryRelay(
-                telemetry, exec_backend.context, **relay_kwargs
+                telemetry,
+                backend.context,
+                stall_timeout=stall_timeout,
+                on_stall=on_stall,
+                on_heartbeat=backend.renew_lease_by_pid,
             )
             relay_payload = relay.worker_payload()
             relay.start()
         try:
-            dispatch_stats = exec_backend.run(
-                pending, cache.payload(), note, relay_payload
-            )
+            stats = backend.run(pending, cache.payload(), note, relay_payload)
         finally:
             if relay is not None:
                 relay.stop()
@@ -598,13 +502,6 @@ def run_sweep(
         for cell in pending:
             note(run_cell(cell, cache, telemetry=telemetry))
     wall = time.perf_counter() - started
-    poisoned_dicts: List[dict] = []
-    retries = worker_deaths = worker_restarts = 0
-    if dispatch_stats is not None:
-        poisoned_dicts = [p.as_dict() for p in dispatch_stats.poisoned]
-        retries = dispatch_stats.retries
-        worker_deaths = dispatch_stats.worker_deaths
-        worker_restarts = dispatch_stats.worker_restarts
     if instruments is not None:
         instruments.telemetry.event(
             "sweep_done",
@@ -618,8 +515,8 @@ def run_sweep(
         jobs=jobs,
         wall_seconds=wall,
         resumed=len(cells) - len(pending),
-        poisoned=poisoned_dicts,
-        retries=retries,
-        worker_deaths=worker_deaths,
-        worker_restarts=worker_restarts,
+        poisoned=[poisoned.as_dict() for poisoned in stats.poisoned],
+        retries=stats.retries,
+        worker_deaths=stats.worker_deaths,
+        worker_restarts=stats.worker_restarts,
     )

@@ -1,6 +1,6 @@
-"""Lease bookkeeping for the fault-tolerant queue backend.
+"""Lease bookkeeping for the sweep's lease dispatcher.
 
-The queue backend's correctness story is a small state machine per cell:
+The dispatcher's correctness story is a small state machine per cell:
 
 ``READY -> LEASED -> DONE`` on the happy path, with two failure edges —
 ``LEASED -> READY`` (the holding worker died or its lease expired; the
@@ -102,7 +102,7 @@ class PoisonedCell:
 
 
 class LeaseSupervisor:
-    """The queue backend's brain: grants, renewals, expiry, retry, poison.
+    """The dispatcher's brain: grants, renewals, expiry, retry, poison.
 
     The dispatcher drives it with wall-clock ``now`` values; tests drive
     it with a fake clock.  One instance supervises one sweep's pending

@@ -4,7 +4,7 @@ A sweep is a declarative grid of *cells*.  Each :class:`SweepCell` names
 everything a worker process needs to evaluate one experiment point —
 ``(PIFTConfig, fault site + rate, seed, taint-state backend, suites)`` —
 using only plain data, so cells cross process boundaries by pickle and a
-cell evaluated in a pool worker is bit-identical to the same cell
+cell evaluated in a worker process is bit-identical to the same cell
 evaluated inline.
 
 Taint-state backends are referenced *by name* (``state_spec``) and

@@ -12,7 +12,7 @@ The observability layer for the PIFT stack:
 * :mod:`repro.telemetry.hub` — the :class:`Telemetry` facade threaded
   through the stack, and the :func:`active` disabled-path contract;
 * :mod:`repro.telemetry.relay` — the cross-process channel that ships
-  pool-worker spans, heartbeats and metric deltas back to the parent
+  sweep-worker spans, heartbeats and metric deltas back to the parent
   hub during a parallel sweep;
 * :mod:`repro.telemetry.tracefmt` — the in-memory flight recorder and
   its Chrome trace-event (Perfetto-loadable) export.

@@ -1,14 +1,15 @@
 """Cross-process telemetry relay: worker hubs report back to the parent.
 
 ``run_sweep`` workers used to be observability-silent: every span and
-counter mutated inside a pool worker died with the worker.  This module
+counter mutated inside a worker process died with it.  This module
 is the channel that ships them home:
 
-* **worker side** — :func:`init_worker_telemetry` (called from the pool
-  initializer) builds a private :class:`~repro.telemetry.hub.Telemetry`
-  hub per worker whose writer is a :class:`RelayWriter`: selected event
-  types (spans and cell markers; per-event types would flood the queue)
-  are batched by a :class:`RelayClient` and shipped over a
+* **worker side** — :func:`init_worker_telemetry` (called once as each
+  dispatcher worker starts) builds a private
+  :class:`~repro.telemetry.hub.Telemetry` hub per worker whose writer is
+  a :class:`RelayWriter`: selected event types (spans and cell markers;
+  per-event types would flood the queue) are batched by a
+  :class:`RelayClient` and shipped over a
   ``multiprocessing`` queue with **non-blocking** puts — a full queue
   never stalls a worker, it just drops the batch and counts it.  A
   daemon heartbeat thread reports liveness (and the cell currently being
@@ -300,12 +301,12 @@ class _HeartbeatThread(threading.Thread):
 
 
 def init_worker_telemetry(payload: dict) -> Telemetry:
-    """Build this worker's relay-backed hub (pool-initializer side).
+    """Build this worker's relay-backed hub (called as a worker starts).
 
     ``payload`` comes from :meth:`TelemetryRelay.worker_payload`: the
     shared queue, the worker-id counter, and the tuning knobs.  The hub
     carries its :class:`RelayClient` as ``hub.relay_client`` so the
-    engine's cell wrapper can mark cell boundaries and ship snapshots.
+    dispatcher's worker loop can mark cell boundaries and ship snapshots.
     """
     counter = payload["counter"]
     with counter.get_lock():
@@ -384,10 +385,11 @@ class TelemetryRelay:
     """Parent-side relay: drain worker messages, merge, watch for stalls.
 
     Create one per parallel sweep (when telemetry is enabled), hand
-    :meth:`worker_payload` to the pool initializer, :meth:`start` the
-    drain thread before workers run, and :meth:`stop` after the pool has
-    joined — stop drains whatever is left, folds per-worker drop counts
-    into ``sweep.relay.*`` metrics, and emits a ``relay_summary`` event.
+    :meth:`worker_payload` to the dispatcher's workers, :meth:`start` the
+    drain thread before workers run, and :meth:`stop` after the workers
+    have stopped — stop drains whatever is left, folds per-worker drop
+    counts into ``sweep.relay.*`` metrics, and emits a ``relay_summary``
+    event.
     """
 
     def __init__(
@@ -410,7 +412,7 @@ class TelemetryRelay:
         self.ship_types = frozenset(ship_types)
         self.on_stall = on_stall
         #: Called with the worker's pid on every heartbeat (from the
-        #: drain thread) — the queue backend hooks this to renew leases.
+        #: drain thread) — the sweep dispatcher hooks this to renew leases.
         self.on_heartbeat = on_heartbeat
         self.detector = (
             StallDetector(stall_timeout) if stall_timeout else None
@@ -427,7 +429,7 @@ class TelemetryRelay:
     # -- wiring -----------------------------------------------------------
 
     def worker_payload(self) -> dict:
-        """What the pool initializer needs to build worker hubs."""
+        """What each dispatcher worker needs to build its hub."""
         return {
             "queue": self.queue,
             "counter": self._counter,

@@ -189,3 +189,94 @@ def test_column_feeding_matches_per_event_on_bounded_storage(
     batched.observe_columns(columns, 0, cut)
     batched.observe_columns(columns, cut, len(stream))
     assert fingerprint(batched) == fingerprint(per_event)
+
+
+# -- DROP only ever costs detections (metamorphic) ----------------------------
+#
+# §3.3's DROP policy loses ranges to save time, so a tracker on a DROP
+# cache may miss a flow but must never report one the unbounded tracker
+# does not.  ``test_drop_cache_never_false_positive`` shows this for the
+# storage alone, on one op sequence; it does not carry over by itself,
+# because a dropped range changes which loads open windows and so which
+# stores the two trackers taint.  With per-PID non-decreasing indices it
+# still holds: every load that opens a window for the DROP tracker opens
+# one for the unbounded tracker too, so the unbounded tracker's window is
+# never older and never has fewer propagations left.  Granularity 4 is
+# left out on purpose: block over-taint (§3.3) lets DROP taint bytes the
+# byte-precise tracker never does.
+
+#: Sources, loads, stores and checks over a small address space (so they
+#: overlap often) in up to three processes; the index step advances the
+#: PID's instruction counter on loads and stores only.
+drop_streams = st.lists(
+    st.tuples(
+        st.sampled_from(["source", "load", "store", "check"]),
+        st.integers(0, 63),   # start
+        st.integers(1, 8),    # size
+        st.integers(0, 6),    # per-PID index step (never regresses)
+        st.integers(0, 2),    # pid
+    ),
+    min_size=20,
+    max_size=150,
+)
+
+
+@given(
+    drop_streams,
+    st.integers(1, 16),
+    st.booleans(),
+    st.integers(1, 16),
+    st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_drop_tracker_never_alarms_where_unbounded_is_clean(
+    ops, capacity, untainting, window_size, propagations
+):
+    config = PIFTConfig(window_size, propagations, untainting)
+    unbounded = PIFTTracker(config)
+    dropping = PIFTTracker(
+        config,
+        state_factory=lambda: BoundedRangeCache(
+            capacity, policy=EvictionPolicy.DROP, granularity_bits=0
+        ),
+    )
+    cursors = {}
+    for op, start, size, step, pid in ops:
+        address_range = AddressRange.from_base_size(start, size)
+        if op == "source":
+            unbounded.taint_source(address_range, pid=pid)
+            dropping.taint_source(address_range, pid=pid)
+        elif op == "check":
+            if dropping.check(address_range, pid=pid):
+                assert unbounded.check(address_range, pid=pid)
+        else:
+            cursors[pid] = cursors.get(pid, 0) + step
+            event = MemoryAccess(
+                AccessKind.LOAD if op == "load" else AccessKind.STORE,
+                address_range, cursors[pid], pid,
+            )
+            unbounded.observe(event)
+            dropping.observe(event)
+
+
+def test_drop_tracker_can_alarm_alone_on_a_regressing_index():
+    """The documented divergence: the property above needs per-PID
+    non-decreasing indices.  Sources B then A at capacity 1 drop B; a
+    load of A at k=0 opens both trackers' windows, a load of B at k=5
+    restarts only the unbounded tracker's, and a store that regressed to
+    k=3 falls below that restarted window but inside DROP's."""
+    a, b, target = AddressRange(0, 3), AddressRange(16, 19), AddressRange(32, 35)
+    unbounded = PIFTTracker(PIFTConfig(13, 3))
+    dropping = PIFTTracker(
+        PIFTConfig(13, 3),
+        state_factory=lambda: BoundedRangeCache(1, policy=EvictionPolicy.DROP),
+    )
+    for tracker in (unbounded, dropping):
+        tracker.taint_source(b)
+        tracker.taint_source(a)
+        tracker.observe(MemoryAccess(AccessKind.LOAD, a, 0))
+        tracker.observe(MemoryAccess(AccessKind.LOAD, b, 5))
+        tracker.observe(MemoryAccess(AccessKind.STORE, target, 3))
+    assert not dropping.check(b)  # B really was dropped
+    assert dropping.check(target)
+    assert not unbounded.check(target)

@@ -278,34 +278,33 @@ class TestStoreJson:
 
 
 class TestQueueBackendCli:
-    """The ``--backend queue`` flag family on ``sweep``."""
+    """The dispatcher flag family on ``sweep --jobs N``."""
 
     ARGS = ["sweep", "--windows", "5,13", "--caps", "2,3", "--json"]
 
     def test_queue_backend_matches_pool_cells(self, capsys):
-        pool = run_json(capsys, self.ARGS)
-        queued = run_json(
-            capsys, self.ARGS + ["--jobs", "2", "--backend", "queue"]
-        )
+        serial = run_json(capsys, self.ARGS)
+        queued = run_json(capsys, self.ARGS + ["--jobs", "2"])
         assert json.dumps(queued["cells"], sort_keys=True) == json.dumps(
-            pool["cells"], sort_keys=True
+            serial["cells"], sort_keys=True
         )
         assert queued["poisoned"] == []
         timings = queued["timings"]
+        assert timings["jobs"] == 2
         assert {"retries", "worker_deaths", "worker_restarts", "poisoned"} <= (
             timings.keys()
         )
         assert timings["worker_deaths"] == 0
 
     def test_chaos_survives_bit_identical(self, capsys):
-        pool = run_json(capsys, self.ARGS)
+        serial = run_json(capsys, self.ARGS)
         chaotic = run_json(capsys, self.ARGS + [
-            "--jobs", "2", "--backend", "queue",
+            "--jobs", "2",
             "--lease-timeout", "5", "--chaos", "kill-workers:0.3",
             "--chaos-seed", "1",
         ])
         assert json.dumps(chaotic["cells"], sort_keys=True) == json.dumps(
-            pool["cells"], sort_keys=True
+            serial["cells"], sort_keys=True
         )
         assert chaotic["poisoned"] == []
         assert chaotic["timings"]["worker_deaths"] > 0
@@ -313,7 +312,7 @@ class TestQueueBackendCli:
     def test_poisoned_cells_surface_in_json_and_stderr(self, capsys):
         capsys.readouterr()
         assert main(self.ARGS + [
-            "--jobs", "2", "--backend", "queue", "--max-retries", "0",
+            "--jobs", "2", "--max-retries", "0",
             "--chaos", "fail-cells:1", "--chaos-seed", "7",
         ]) == 0
         captured = capsys.readouterr()
@@ -325,13 +324,24 @@ class TestQueueBackendCli:
         assert "poisoned after 1 attempts" in captured.err
 
     def test_chaos_requires_queue_backend(self):
-        with pytest.raises(SystemExit, match="--chaos requires"):
+        """The dispatcher runs only at ``--jobs`` above 1; ``--chaos``
+        at ``--jobs 1`` is refused, not dropped."""
+        with pytest.raises(SystemExit, match="--jobs above 1"):
             main(self.ARGS + ["--chaos", "kill-workers:0.2"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--lease-timeout", "5"],
+        ["--max-retries", "0"],
+        ["--max-worker-restarts", "2"],
+    ], ids=["lease-timeout", "max-retries", "max-worker-restarts"])
+    def test_dispatcher_flags_require_jobs_above_1(self, flags):
+        with pytest.raises(SystemExit, match="--jobs above 1"):
+            main(self.ARGS + flags)
 
     def test_bad_chaos_spec_rejected(self):
         with pytest.raises(SystemExit, match="--chaos: "):
             main(self.ARGS + [
-                "--backend", "queue", "--chaos", "explode-everything:1",
+                "--jobs", "2", "--chaos", "explode-everything:1",
             ])
 
 

@@ -1,9 +1,9 @@
-"""Tests for repro.sweep.dispatch: the fault-tolerant queue backend.
+"""Tests for repro.sweep.dispatch: the lease dispatcher.
 
-Process-level coverage of the lease dispatcher — fault-free parity with
-the serial/pool paths, chaos-driven worker deaths, retry-then-poison
-quarantine, journal integration, and interrupt/resume semantics.  The
-pure lease bookkeeping is covered in ``test_leases.py``.
+Process-level coverage of the dispatcher every ``jobs > 1`` sweep runs
+on — fault-free parity with the inline path, chaos-driven worker deaths,
+retry-then-poison quarantine, journal integration, and interrupt/resume
+semantics.  The pure lease bookkeeping is covered in ``test_leases.py``.
 """
 
 import json
@@ -48,7 +48,7 @@ class TestQueueBackend:
         return run_sweep(SPEC, cache=cache, jobs=1)
 
     def test_fault_free_parity_with_serial(self, cache, serial):
-        queued = run_sweep(SPEC, cache=cache, jobs=2, backend="queue",
+        queued = run_sweep(SPEC, cache=cache, jobs=2,
                            backend_options=dict(FAST))
         assert digest(queued) == digest(serial)
         assert queued.worker_deaths == 0
@@ -59,7 +59,7 @@ class TestQueueBackend:
 
     def test_chaos_kills_leave_grid_bit_identical(self, cache, serial):
         chaos = ChaosPlan.parse("kill-workers:0.3", seed=7)
-        survived = run_sweep(SPEC, cache=cache, jobs=3, backend="queue",
+        survived = run_sweep(SPEC, cache=cache, jobs=3,
                              backend_options={**FAST, "chaos": chaos})
         assert digest(survived) == digest(serial)
         assert survived.worker_deaths > 0  # the schedule really killed
@@ -69,7 +69,7 @@ class TestQueueBackend:
     def test_chaos_hang_expires_lease_and_recovers(self, cache, serial):
         chaos = ChaosPlan.parse("hang-workers:0.25", seed=11)
         survived = run_sweep(
-            SPEC, cache=cache, jobs=2, backend="queue",
+            SPEC, cache=cache, jobs=2,
             backend_options={**FAST, "lease_timeout": 0.5, "chaos": chaos},
         )
         assert digest(survived) == digest(serial)
@@ -78,7 +78,7 @@ class TestQueueBackend:
     def test_failing_cells_are_poisoned_not_fatal(self, cache, serial):
         chaos = ChaosPlan.parse("fail-cells:1.0", seed=7)
         result = run_sweep(
-            SPEC, cache=cache, jobs=2, backend="queue",
+            SPEC, cache=cache, jobs=2,
             backend_options={**FAST, "max_retries": 1, "chaos": chaos},
         )
         assert result.cells == []
@@ -94,7 +94,7 @@ class TestQueueBackend:
         # the survivors still match the serial run at their indexes.
         chaos = ChaosPlan.parse("fail-cells:0.6", seed=5)
         result = run_sweep(
-            SPEC, cache=cache, jobs=2, backend="queue",
+            SPEC, cache=cache, jobs=2,
             backend_options={**FAST, "max_retries": 0, "chaos": chaos},
         )
         assert 0 < len(result.poisoned) < len(SPEC)
@@ -107,30 +107,36 @@ class TestQueueBackend:
         chaos = ChaosPlan.parse("kill-workers:1.0", seed=3)
         with pytest.raises(DispatchError, match="out of workers"):
             run_sweep(
-                SPEC, cache=cache, jobs=2, backend="queue",
+                SPEC, cache=cache, jobs=2,
                 backend_options={
                     **FAST, "max_worker_restarts": 1, "chaos": chaos,
                 },
             )
 
-    def test_queue_backend_serial_jobs(self, cache, serial):
-        # backend="queue" with jobs=1 still goes through the dispatcher.
-        queued = run_sweep(SPEC, cache=cache, jobs=1, backend="queue",
-                           backend_options=dict(FAST))
-        assert digest(queued) == digest(serial)
+    def test_queue_backend_serial_jobs(self, cache):
+        # jobs=1 runs inline, with no dispatcher: a dispatcher option
+        # there would do nothing, so it is refused rather than dropped.
+        chaos = ChaosPlan.parse("kill-workers:1.0", seed=3)
+        for options in ({"lease_timeout": 1.0}, {"chaos": chaos}):
+            with pytest.raises(ValueError, match="jobs > 1"):
+                run_sweep(SPEC, cache=cache, jobs=1, backend_options=options)
 
-    def test_unknown_backend_rejected(self, cache):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            run_sweep(SPEC, cache=cache, jobs=2, backend="carrier-pigeon")
-        with pytest.raises(ValueError, match="backend_options"):
-            run_sweep(SPEC, cache=cache, jobs=2,
-                      backend_options={"lease_timeout": 1.0})
-
-    def test_backend_instance_passthrough(self, cache, serial):
+    def test_reused_backend_starts_from_no_workers(self, cache, serial):
+        # A second run must not send cells to the first run's stopped
+        # workers (which read as deaths and retries that never happened).
         backend = QueueBackend(jobs=2, **FAST)
-        queued = run_sweep(SPEC, cache=cache, backend=backend)
-        assert digest(queued) == digest(serial)
-        assert backend.stats.worker_deaths == 0
+        for _ in range(2):
+            results = {}
+            stats = backend.run(
+                list(SPEC.cells()), cache.payload(),
+                lambda result: results.setdefault(result.index, result),
+            )
+            assert stats is backend.stats
+            assert (stats.worker_deaths, stats.retries,
+                    stats.worker_restarts, stats.poisoned) == (0, 0, 0, [])
+            assert [results[i].as_dict() for i in sorted(results)] == [
+                cell.as_dict() for cell in serial.cells
+            ]
 
 
 class TestJournalIntegration:
@@ -152,7 +158,7 @@ class TestJournalIntegration:
         journal = self._journal(tmp_path, cells)
         chaos = ChaosPlan.parse("fail-cells:0.6", seed=5)
         result = run_sweep(
-            SPEC, cache=cache, jobs=2, journal=journal, backend="queue",
+            SPEC, cache=cache, jobs=2, journal=journal,
             backend_options={**FAST, "max_retries": 1, "chaos": chaos},
         )
         reloaded = RunJournal.load(tmp_path / "run.jsonl")
@@ -173,7 +179,7 @@ class TestJournalIntegration:
         journal = self._journal(tmp_path, cells)
         chaos = ChaosPlan.parse("fail-cells:0.6", seed=5)
         first = run_sweep(
-            SPEC, cache=cache, jobs=2, journal=journal, backend="queue",
+            SPEC, cache=cache, jobs=2, journal=journal,
             backend_options={**FAST, "max_retries": 0, "chaos": chaos},
         )
         assert first.poisoned  # some cells were quarantined
@@ -181,7 +187,7 @@ class TestJournalIntegration:
         resumed_journal = RunJournal.load(tmp_path / "run.jsonl")
         second = run_sweep(
             SPEC, cache=cache, jobs=2, journal=resumed_journal,
-            backend="queue", backend_options=dict(FAST),
+            backend_options=dict(FAST),
         )
         serial = run_sweep(SPEC, cache=cache, jobs=1)
         assert digest(second) == digest(serial)
@@ -204,40 +210,17 @@ class TestJournalIntegration:
 
         with pytest.raises(KeyboardInterrupt):
             run_sweep(SPEC, cache=cache, jobs=2, journal=journal,
-                      progress=interrupt, backend="queue",
-                      backend_options=dict(FAST))
+                      progress=interrupt, backend_options=dict(FAST))
 
         # Every cell reported before the interrupt is checkpointed, and
         # the resumed run is bit-identical to an uninterrupted one.
         reloaded = RunJournal.load(tmp_path / "run.jsonl")
         assert set(reloaded.completed) == set(done)
         resumed = run_sweep(SPEC, cache=cache, jobs=2, journal=reloaded,
-                            backend="queue", backend_options=dict(FAST))
+                            backend_options=dict(FAST))
         assert resumed.resumed == len(done)
         serial = run_sweep(SPEC, cache=cache, jobs=1)
         assert digest(resumed) == digest(serial)
-
-    def test_interrupt_under_pool_backend_still_resumable(self, cache, tmp_path):
-        from repro.store import RunJournal
-
-        cells = list(SPEC.cells())
-        journal = self._journal(tmp_path, cells)
-        done = []
-
-        def interrupt(result, finished, total):
-            done.append(result.index)
-            if len(done) == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(SPEC, cache=cache, jobs=2, journal=journal,
-                      progress=interrupt)
-        reloaded = RunJournal.load(tmp_path / "run.jsonl")
-        assert set(reloaded.completed) == set(done)
-        resumed = run_sweep(SPEC, cache=cache, jobs=2, journal=reloaded)
-        serial = run_sweep(SPEC, cache=cache, jobs=1)
-        assert digest(resumed) == digest(serial)
-
 
 class TestTelemetryIntegration:
     @pytest.fixture(scope="class")
@@ -265,7 +248,7 @@ class TestTelemetryIntegration:
         telemetry.writer = _Writer()
         chaos = ChaosPlan.parse("fail-cells:0.6", seed=5)
         result = run_sweep(
-            SPEC, cache=cache, jobs=2, telemetry=telemetry, backend="queue",
+            SPEC, cache=cache, jobs=2, telemetry=telemetry,
             backend_options={**FAST, "max_retries": 1, "chaos": chaos},
         )
         assert result.retries > 0 and result.poisoned
@@ -282,10 +265,10 @@ class TestTelemetryIntegration:
 
         telemetry = Telemetry()
         result = run_sweep(SPEC, cache=cache, jobs=2, telemetry=telemetry,
-                           backend="queue", backend_options=dict(FAST))
+                           backend_options=dict(FAST))
         assert result.worker_deaths == 0
         # Lazy counters: a clean run exposes the same metric families as
-        # the pool backend.
+        # an inline one.
         assert telemetry.metrics.get("sweep.cell.retries") is None
         assert telemetry.metrics.get("sweep.worker.deaths") is None
 
@@ -298,7 +281,6 @@ class TestTelemetryIntegration:
         # deaths, no retries, clean parity.
         result = run_sweep(
             SPEC, cache=cache, jobs=2, telemetry=telemetry,
-            backend="queue",
             backend_options={**FAST, "lease_timeout": 1.0},
         )
         assert result.worker_deaths == 0

@@ -626,12 +626,18 @@ class TestFaultsCLI:
         assert all("forced_drops" in row for row in payload["latency"])
 
     def test_faults_help(self, capsys):
+        """``--help`` renders and exits 0 for ``faults`` and the other
+        long-running commands: ``sweep``, ``serve`` and ``fleet``."""
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(["faults", "--help"])
-        assert exc.value.code == 0
-        assert "--fault-seed" in capsys.readouterr().out
+        for command, flag in (("faults", "--fault-seed"),
+                              ("sweep", "--lease-timeout"),
+                              ("serve", "--high-watermark"),
+                              ("fleet", "--devices")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            assert flag in capsys.readouterr().out, command
 
     def test_bad_spec_raises(self):
         from repro.__main__ import main

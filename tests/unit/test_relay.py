@@ -247,7 +247,7 @@ class TestTelemetryRelayHandle:
         assert summary["workers"] == 1
 
     def test_on_heartbeat_hook_receives_the_pid(self):
-        """The queue backend renews leases off relay heartbeats."""
+        """The dispatcher renews leases off relay heartbeats."""
         beats = []
         relay, _, _ = self._relay(on_heartbeat=beats.append)
         relay._handle(
@@ -410,7 +410,7 @@ class TestSweepRelayParity:
             key(s) for s in parallel_spans
         )
         assert len(parallel_spans) == 4
-        # The relayed spans actually came from pool workers.
+        # The relayed spans actually came from dispatcher workers.
         workers = {span["worker_id"] for span in parallel_spans}
         assert workers and 0 not in workers
         assert len(workers) >= 2

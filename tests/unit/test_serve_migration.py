@@ -221,6 +221,37 @@ class TestShardSnapshotValidation:
         assert heir.queue_depth == 0 and heir.restores == 0
         assert not heir.check(DST)[0]
 
+    @pytest.mark.parametrize("section, row", [
+        ("pending", ["sms", 16.9, 19.7, 0, 6, 4]),    # used to restore 16-19
+        ("pending", ["sms", 0x8000, 0x8003, 0, True, 4]),  # bool behind
+        ("pending", ["sms", 0x8000, 0x8003, "0", 6, 4]),   # string pid
+        ("pending", ["sms", 0x8000, 0x8003, 0, 6, 2**63]),  # beyond int64
+        ("pending", ["sms", 0x8003, 0x8000, 0, 6, 4]),  # end before start
+        ("pending", ["sms", 0x8000, 0x8003, 0, 6]),     # short row
+        ("late_detections", ["sms", 0x8000, 0x8003, True, False]),
+        ("late_detections", ["sms", 0x8000, float(0x8003), 6, False]),
+        ("late_detections", ["sms", -1, 0x8003, 6, False]),
+        ("late_detections", ["sms", 0x8000, 0x8003, 6, 1]),  # int degraded
+        ("late_detections", ["sms", 0x8000, 0x8003, 6, False, "imei"]),
+        ("late_detections", ["sms", 0x8000, 0x8003, 6, False, [3]]),
+    ])
+    def test_rejects_malformed_pending_and_late_rows(self, section, row):
+        """Pending checks and late detections are checked with the FIFO
+        rows, before anything is replaced: nothing is coerced, and a
+        rejected restore leaves the heir's buffer as it was."""
+        donor = self.make_shard()
+        donor.register_source(SRC)
+        donor.ingest(EventColumns.from_events(leaky_events(rounds=2)))
+        snapshot = json.loads(json.dumps(donor.snapshot()))
+        snapshot["buffered"][section].append(row)
+        heir = self.make_shard()
+        heir.register_source(CLEAN)
+        before = heir.buffered.snapshot()
+        with pytest.raises(ValueError):
+            heir.restore(snapshot)
+        assert heir.buffered.snapshot() == before
+        assert heir.restores == 0
+
     def test_rejects_wrong_version(self):
         snapshot = self.make_shard().snapshot()
         snapshot["version"] = 99

@@ -161,10 +161,31 @@ BAD_EVENT_COLUMNS = {
 }
 
 
+def _set(records, **fields):
+    def corrupt(run):
+        run[records][0].update(fields)
+    return corrupt
+
+
+#: Corruptions of one stored run's first source or sink check; each must
+#: make the entry undecodable rather than decode to a float or bool.
+BAD_SOURCE_AND_CHECK_FIELDS = {
+    "source-bool-start": _set("sources", start=True, size=2.5),
+    "source-float-index": _set("sources", index=1.5),
+    "source-end-beyond-int64": _set("sources", start=2**63 - 1, size=2),
+    "check-float-index": _set("sink_checks", index=1.5),
+    "check-bool-pid": _set("sink_checks", pid=False),
+}
+
+
+def _in_events(corrupt):
+    return lambda run: corrupt(run["events"])
+
+
 def _suite_payload(corrupt) -> bytes:
-    """``tiny_suite()``'s payload with ``corrupt`` applied to run 0's events."""
+    """``tiny_suite()``'s payload with ``corrupt`` applied to run 0."""
     document = json.loads(gzip.decompress(dump_suite_bytes(tiny_suite())))
-    corrupt(document["runs"][0]["run"]["events"])
+    corrupt(document["runs"][0]["run"])
     raw = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return gzip.compress(raw.encode("utf-8"), mtime=0)
 
@@ -199,8 +220,15 @@ class TestCorruption:
         assert not art.has(TEST_KEY)
 
     @pytest.mark.parametrize(
-        "corrupt", [None, *BAD_EVENT_COLUMNS.values()],
-        ids=["foreign-schema", *BAD_EVENT_COLUMNS],
+        "corrupt", [
+            None,
+            *map(_in_events, BAD_EVENT_COLUMNS.values()),
+            *BAD_SOURCE_AND_CHECK_FIELDS.values(),
+        ],
+        ids=[
+            "foreign-schema", *BAD_EVENT_COLUMNS,
+            *BAD_SOURCE_AND_CHECK_FIELDS,
+        ],
     )
     def test_valid_gzip_wrong_schema_is_corruption(self, tmp_path, corrupt):
         """An entry that unzips but doesn't decode is quarantined too —

@@ -151,23 +151,29 @@ class TestEngine:
             parallel.as_dict(), sort_keys=True
         )
         workers = {cell.worker for cell in parallel.cells}
-        assert len(workers) > 1  # the pool actually fanned out
+        assert len(workers) > 1  # the dispatcher actually fanned out
 
     def test_rejects_bad_jobs(self, cache):
         spec = GridSpec(window_sizes=(5,), propagation_caps=(2,))
         with pytest.raises(ValueError):
             run_sweep(spec, cache=cache, jobs=0)
 
-    def test_progress_streams_in_submission_order(self, cache):
-        spec = GridSpec(window_sizes=(5, 13), propagation_caps=(2,))
+    def test_progress_reports_every_cell_as_it_finishes(self, cache):
+        # Workers finish in any order; progress sees each cell once as
+        # it lands, while the result list keeps grid order.
+        spec = GridSpec(window_sizes=(5, 13, 20), propagation_caps=(2,))
         seen = []
-        run_sweep(
+        result = run_sweep(
             spec, cache=cache, jobs=2,
             progress=lambda result, done, total: seen.append(
                 (result.index, done, total)
             ),
         )
-        assert seen == [(0, 1, 2), (1, 2, 2)]
+        assert sorted(index for index, _, _ in seen) == [0, 1, 2]
+        assert [(done, total) for _, done, total in seen] == [
+            (1, 3), (2, 3), (3, 3)
+        ]
+        assert [cell.index for cell in result.cells] == [0, 1, 2]
 
     def test_timings_account_every_cell(self, cache):
         spec = GridSpec(window_sizes=(5, 13), propagation_caps=(2,))
@@ -252,6 +258,28 @@ class TestAnalysisRewire:
             assert json.dumps(
                 serial[key].as_dict(), sort_keys=True
             ) == json.dumps(parallel[key].as_dict(), sort_keys=True)
+
+    def test_poisoned_cell_fails_positional_readers(self, monkeypatch):
+        """A cell that keeps failing on the dispatcher is poisoned, not
+        raised; the analysis wrappers read cells by position, so they
+        raise instead of shifting every later cell into its slot."""
+        from repro.analysis.degradation import degradation_grid
+        from repro.apps.droidbench import record_suite
+        from repro.sweep import DispatchError, engine
+
+        real_run_cell = engine.run_cell
+
+        def failing(cell, cache, telemetry=None):
+            if cell.index == 1:
+                raise RuntimeError("cell 1 always fails")
+            return real_run_cell(cell, cache, telemetry=telemetry)
+
+        # Workers fork after the patch, so they evaluate through it.
+        monkeypatch.setattr(engine, "run_cell", failing)
+        apps = record_suite()[:4]
+        with pytest.raises(DispatchError, match="cell 1 poisoned after 4"):
+            degradation_grid(apps, [PIFTConfig(5, 2), PIFTConfig(13, 3)],
+                             rates=(0.0,), jobs=2)
 
 
 class TestSweepCLI:

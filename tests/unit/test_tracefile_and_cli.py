@@ -45,6 +45,30 @@ BAD_EVENT_COLUMNS = {
 }
 
 
+def _set(records, **fields):
+    def corrupt(run):
+        run[records][0].update(fields)
+    return corrupt
+
+
+#: Corruptions of a stored run's first source or sink check that a
+#: decoder without the wire's range rule would have taken as is.
+BAD_SOURCE_AND_CHECK_FIELDS = {
+    "source-bool-start": _set("sources", start=True, size=2.5),
+    "source-float-start": _set("sources", start=4096.0),
+    "source-float-size": _set("sources", size=2.5),
+    "source-end-beyond-int64": _set("sources", start=2**63 - 1, size=2),
+    "source-float-index": _set("sources", index=1.5),
+    "source-bool-pid": _set("sources", pid=True),
+    "check-float-size": _set("sink_checks", size=4.0),
+    "check-float-index": _set("sink_checks", index=1.5),
+    "check-bool-index": _set("sink_checks", index=True),
+    "check-index-beyond-int64": _set("sink_checks", index=2**63),
+    "check-string-pid": _set("sink_checks", pid="3"),
+    "check-pid-beyond-int64": _set("sink_checks", pid=-2**63 - 1),
+}
+
+
 class TestTraceFile:
     def test_roundtrip_preserves_everything(self, recorded, tmp_path):
         path = save_recorded_run(recorded, tmp_path / "run.pift.gz")
@@ -106,6 +130,19 @@ class TestTraceFile:
         with gzip.open(path, "rt") as handle:
             document = json.load(handle)
         corrupt(document["events"])
+        with gzip.open(path, "wt") as handle:
+            json.dump(document, handle)
+        with pytest.raises(TraceFormatError):
+            load_recorded_run(path)
+
+    @pytest.mark.parametrize("corrupt", BAD_SOURCE_AND_CHECK_FIELDS.values(),
+                             ids=list(BAD_SOURCE_AND_CHECK_FIELDS))
+    def test_rejects_malformed_sources_and_checks(self, recorded, tmp_path,
+                                                  corrupt):
+        path = save_recorded_run(recorded, tmp_path / "run.pift.gz")
+        with gzip.open(path, "rt") as handle:
+            document = json.load(handle)
+        corrupt(document)
         with gzip.open(path, "wt") as handle:
             json.dump(document, handle)
         with pytest.raises(TraceFormatError):
