@@ -1,8 +1,10 @@
-"""Extension — cross-process telemetry relay overhead on a parallel sweep.
+"""Extension — cross-process telemetry overhead on a parallel sweep.
 
-The :class:`~repro.telemetry.relay.TelemetryRelay` ships every sweep
-worker's cell spans, heartbeats and metric deltas back to the parent hub
-while a ``--jobs N`` sweep runs.  That observability must stay cheap:
+With a hub attached, every sweep worker's cell spans and metric deltas
+ride its results over the lease dispatcher's per-worker pipe and merge
+into the parent hub (:mod:`repro.telemetry.relay`), and the pipe's
+heartbeats become parent ``heartbeat`` events, while a ``--jobs N``
+sweep runs.  That observability must stay cheap:
 the telemetered sweep may cost at most :data:`OVERHEAD_BOUND` (10%)
 extra wall time over the telemetry-off sweep of the same grid, and the
 grid results must stay byte-identical either way.
@@ -39,7 +41,7 @@ REGRESSION_TOLERANCE = perf.REGRESSION_TOLERANCE
 #: The history-record key this benchmark gates on.
 GATE_METRIC = "relay_off_over_on"
 
-#: The relay may add at most this fraction of wall time to a sweep.
+#: Telemetry may add at most this fraction of wall time to a sweep.
 OVERHEAD_BOUND = 0.10
 
 #: Absolute gate floor: wall_off / wall_on at exactly 10% overhead.
@@ -78,7 +80,7 @@ def _grid_digest(result) -> str:
 
 
 def _relay_accounting(telemetry: Telemetry) -> dict:
-    """Parent-side relay counters from the hub's metric snapshot."""
+    """Parent-side worker-telemetry counters from the hub's snapshot."""
     sweep = telemetry.snapshot().get("sweep", {})
 
     def value(name):
@@ -87,7 +89,6 @@ def _relay_accounting(telemetry: Telemetry) -> dict:
     return {
         "events_merged": value("sweep.relay.events_merged"),
         "heartbeats": value("sweep.relay.heartbeats"),
-        "dropped_events": value("sweep.relay.dropped_events"),
     }
 
 
@@ -97,9 +98,10 @@ def measure_relay_overhead(
     """Best-of-``rounds`` wall time, telemetry off vs on, same grid.
 
     The telemetered run gets a fresh :class:`Telemetry` hub each round
-    so the relay (worker bootstrap, queue drain thread, heartbeats,
-    metric merging) is exercised end to end exactly as ``--telemetry``
-    would; the off run is the same dispatched sweep without a relay.
+    so worker telemetry (worker hubs, payloads on each result, heartbeat
+    events, metric merging) is exercised end to end exactly as
+    ``--telemetry`` would; the off run is the same dispatched sweep
+    without a hub.
     """
     timings = {}
     digests = {}
@@ -171,7 +173,7 @@ def test_relay_overhead_within_bound(benchmark, suite_runs):
     relayed = benchmark.pedantic(telemetered, rounds=3, iterations=1)
     assert _grid_digest(relayed) == _grid_digest(plain)
     accounting = _relay_accounting(hubs[-1])
-    assert accounting["events_merged"] > 0  # the relay actually ran
+    assert accounting["events_merged"] > 0  # worker telemetry merged
     on_seconds = benchmark.stats.stats.min
     ratio = off_seconds / on_seconds if on_seconds else 0.0
     print(f"\nrelay overhead: {off_seconds:.3f}s off vs {on_seconds:.3f}s on "
@@ -213,10 +215,9 @@ def main(argv=None) -> int:
         f"{measured['grid_cells']} cells at jobs={measured['jobs']} "
         f"(off/on {measured['relay_off_over_on']:.3f}, "
         f"overhead {measured['relay_overhead']:+.1%}, "
-        f"identical={measured['identical']}); relay merged "
-        f"{measured['relay']['events_merged']} events, "
-        f"{measured['relay']['heartbeats']} heartbeats, "
-        f"{measured['relay']['dropped_events']} dropped",
+        f"identical={measured['identical']}); parent merged "
+        f"{measured['relay']['events_merged']} worker events, "
+        f"{measured['relay']['heartbeats']} heartbeats",
         file=sys.stderr,
     )
     payload = {"mode": "smoke" if args.smoke else "full", **measured}

@@ -27,8 +27,9 @@ Commands:
   replay, exit 1 on mismatch
 
 ``sweep`` and ``faults`` also take ``--trace-out run.trace.json`` to
-export the run as Chrome trace-event JSON (open in Perfetto) and
-``--stall-timeout SECONDS`` to warn when a worker goes quiet mid-cell.
+export the run as Chrome trace-event JSON (open in Perfetto) and, at
+``--jobs`` above 1, ``--stall-timeout SECONDS`` to warn when a worker
+goes quiet mid-cell.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="warn on stderr (and emit a worker_stall telemetry event) "
-             "when a worker goes quiet this long mid-cell; implies "
-             "telemetry",
+        help="worker dispatcher (--jobs > 1): warn on stderr (and, with "
+             "telemetry on, emit a worker_stall event) when a worker "
+             "goes quiet this long mid-cell",
     )
 
 
@@ -134,11 +135,22 @@ def _dispatcher_options(args):
             )
         except ChaosError as error:
             raise SystemExit(f"--chaos: {error}")
-    if options and args.jobs == 1:
-        flags = ", ".join("--" + name.replace("_", "-") for name in options)
+    _check_dispatcher_flags(args, list(options))
+    return options or None
+
+
+def _check_dispatcher_flags(args, names) -> None:
+    """Exit when dispatcher flags (``names``, plus ``--stall-timeout``)
+    are given at ``--jobs 1``, where no dispatcher runs, or when
+    ``--stall-timeout`` is not positive."""
+    if args.stall_timeout is not None:
+        if args.stall_timeout <= 0:
+            raise SystemExit("--stall-timeout must be positive")
+        names = names + ["stall_timeout"]
+    if names and args.jobs == 1:
+        flags = ", ".join("--" + name.replace("_", "-") for name in names)
         raise SystemExit(f"{flags} configure the worker dispatcher, "
                          "which runs only at --jobs above 1")
-    return options or None
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -222,7 +234,6 @@ def _make_telemetry(args):
         getattr(args, "telemetry", None)
         or args.metrics_dump is not None
         or getattr(args, "trace_out", None)
-        or getattr(args, "stall_timeout", None) is not None
     )
     if not wants_hub:
         return None
@@ -654,6 +665,7 @@ def cmd_faults(args) -> int:
     base_rates = parse_fault_spec(args.faults)
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
     policy = OverflowPolicy(args.policy)
+    _check_dispatcher_flags(args, [])
 
     telemetry = _make_telemetry(args)
     recorder = _attach_recorder(args, telemetry)
@@ -932,7 +944,7 @@ def cmd_report(args) -> int:
         if not records:
             print(
                 "(no telemetry stream for this run; re-run the sweep with "
-                "--telemetry/--trace-out/--stall-timeout for worker "
+                "--telemetry/--trace-out/--metrics-dump for worker "
                 "attribution and store traffic)",
                 file=sys.stderr,
             )
@@ -1277,7 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Join a run's journal with its persisted telemetry "
                     "stream and print per-cell wall times, per-worker "
                     "utilization, the slowest cells, store traffic and "
-                    "relay drop counts — no re-execution.",
+                    "worker stalls — no re-execution.",
     )
     report_cmd.add_argument("run_id", help="run id (listed by 'store stats')")
     report_cmd.add_argument("--store", metavar="DIR", required=True,

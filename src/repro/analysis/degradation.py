@@ -284,8 +284,8 @@ def degradation_curve(
     CLI passes a store-backed one so recordings persist across
     invocations); ``journal`` (:class:`repro.store.RunJournal`)
     checkpoints each point and resumes a killed sweep; ``stall_timeout``
-    / ``on_stall`` arm the telemetry relay's straggler detector — all
-    forwarded to :func:`repro.sweep.run_sweep`.
+    / ``on_stall`` have the worker dispatcher report quiet workers
+    (``jobs > 1`` only) — all forwarded to :func:`repro.sweep.run_sweep`.
     """
     from repro.sweep import TraceCache, run_sweep
 

@@ -5,9 +5,9 @@ the fact, from persisted artifacts alone: the
 :class:`~repro.store.RunJournal` (which cells finished, how long each
 took, which worker pid evaluated it) and — when the run was telemetered —
 the flight-recorder stream saved next to it
-(``<store>/journals/<run-id>.telemetry.jsonl``), which adds relay
-attribution (pid → relay worker id), heartbeat/stall history, drop
-counts, and the final metric snapshot (store hits/misses).
+(``<store>/journals/<run-id>.telemetry.jsonl``), which adds worker
+attribution (pid → dispatcher worker id), heartbeat/stall history, and
+the final metric snapshot (store hits/misses).
 
 :func:`build_run_report` produces the machine form (the ``--json``
 document CI schema-freezes); :func:`render_run_report` the human tables.
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 
 def _worker_ids_by_pid(records: Sequence[dict]) -> Dict[int, int]:
-    """pid → relay worker id, from worker_start/heartbeat records."""
+    """pid → dispatcher worker id, from worker records and heartbeats."""
     mapping: Dict[int, int] = {}
     for record in records:
         pid = record.get("pid")
@@ -52,9 +52,9 @@ def build_run_report(
     """Reconstruct a run summary from journal + (optional) telemetry.
 
     Everything per-cell and per-worker comes from the journal; the
-    telemetry stream, when present, contributes wall clock, relay worker
-    ids, span/heartbeat/stall accounting, drop counts, and store
-    traffic.  Workers are keyed by the pid the journal recorded.
+    telemetry stream, when present, contributes wall clock, dispatcher
+    worker ids, span/heartbeat/stall accounting, and store traffic.
+    Workers are keyed by the pid the journal recorded.
     """
     rows = journal.cell_rows()
     records = list(telemetry_records or [])
@@ -113,10 +113,6 @@ def build_run_report(
             for record in records
             if record.get("type") == "worker_stall"
         ]
-        dropped = 0
-        for record in records:
-            if record.get("type") == "relay_summary":
-                dropped = record.get("dropped_events", 0)
         snapshot = _run_metrics(records)
         telemetry_block = {
             "events": len(records),
@@ -128,7 +124,6 @@ def build_run_report(
             "worker_stalls": _metric_value(
                 snapshot, "sweep", "sweep.worker.stalls"
             ),
-            "dropped_events": dropped,
             "store_hits": _metric_value(snapshot, "store", "store.hits"),
             "store_misses": _metric_value(snapshot, "store", "store.misses"),
         }
@@ -306,8 +301,7 @@ def render_run_report(report: dict) -> str:
         lines.append(
             f"telemetry: {telemetry['events']} events, "
             f"{telemetry['cell_spans']} cell spans, "
-            f"{telemetry['heartbeats']} heartbeats, "
-            f"{telemetry['dropped_events']} dropped"
+            f"{telemetry['heartbeats']} heartbeats"
             + (
                 f", {telemetry['worker_stalls']:g} worker stalls"
                 if telemetry.get("worker_stalls")

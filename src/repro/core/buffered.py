@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
@@ -63,7 +63,12 @@ from repro.core.events import (
     checked_range,
 )
 from repro.core.ranges import AddressRange
-from repro.core.tracker import ColourTracker, PIFTTracker, TrackerStats
+from repro.core.tracker import (
+    ColourTracker,
+    PIFTTracker,
+    TrackerStats,
+    snapshot_section,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.faults import FaultPlan
@@ -93,8 +98,20 @@ class BufferStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BufferStats":
-        """Inverse of :meth:`as_dict` (checkpoint restore)."""
-        return cls(**{key: int(value) for key, value in payload.items()})
+        """Inverse of :meth:`as_dict` (checkpoint restore).
+
+        Each entry must name a field and hold an exact ``int`` inside
+        int64 (:func:`~repro.core.events.checked_int64`); anything else
+        raises :class:`ValueError`.
+        """
+        payload = snapshot_section(payload, "buffer stats")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"snapshot buffer stats: unknown {unknown}")
+        return cls(**{
+            key: checked_int64(value, f"snapshot buffer stats {key}")
+            for key, value in payload.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -684,22 +701,31 @@ class BufferedPIFT:
     def restore(self, snapshot: dict) -> None:
         """Restore a :meth:`snapshot` exactly (construction params aside).
 
-        Every row is checked before any state changes: the FIFO and
+        Every field is checked before any state changes: the FIFO and
         spill rows go through the decoders' checks
         (:func:`~repro.core.events.checked_columns`), and the pending
-        checks and late detections through the same int rules (exact
-        ``int`` fields inside int64, a non-empty range, a ``bool``
-        ``degraded``, colours as a list of strings).  A malformed row
-        raises :class:`ValueError` and leaves the buffer as it was.
+        checks, late detections, stats and sequence numbers through the
+        same int rules (exact ``int`` fields inside int64, a non-empty
+        range, ``bool`` flags, colours as a list of strings).  The
+        tracker checks its own snapshot before it replaces anything, and
+        is restored last.  A malformed field raises :class:`ValueError`
+        and leaves the buffer as it was.
         """
+        snapshot = snapshot_section(snapshot, "buffer")
         queue = _unpack_events(snapshot["queue"], "queue")
         spill = _unpack_events(snapshot["spill"], "spill")
         pending = _unpack_pending(snapshot["pending"])
         late_detections = _unpack_late(snapshot["late_detections"])
         stats = BufferStats.from_dict(snapshot["stats"])
-        backpressure = bool(snapshot["backpressure"])
-        enqueue_seq = int(snapshot["enqueue_seq"])
-        retired_seq = int(snapshot["retired_seq"])
+        backpressure = snapshot["backpressure"]
+        if type(backpressure) is not bool:
+            raise ValueError(
+                f"snapshot backpressure must be a bool, got {backpressure!r}"
+            )
+        enqueue_seq = checked_int64(snapshot["enqueue_seq"],
+                                    "snapshot enqueue_seq")
+        retired_seq = checked_int64(snapshot["retired_seq"],
+                                    "snapshot retired_seq")
         self.tracker.restore(snapshot["tracker"])
         self._queue, self._queue_depth = _segments(queue)
         self._spill, self._spill_depth = _segments(spill)

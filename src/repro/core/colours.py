@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.ranges import AddressRange
+from repro.core.ranges import AddressRange, checked_rows
 
 
 class ColourSpace:
@@ -86,7 +86,12 @@ class ColourSpace:
 
     @classmethod
     def from_snapshot(cls, payload: dict) -> "ColourSpace":
-        return cls(tuple(payload["names"]))
+        names = payload["names"]
+        if type(names) is not list or not all(
+            type(name) is str for name in names
+        ):
+            raise ValueError("snapshot colour names must be a list of strings")
+        return cls(tuple(names))
 
 
 class ColourRangeSet:
@@ -365,11 +370,24 @@ class ColourRangeSet:
         }
 
     def restore(self, snapshot: dict) -> None:
-        self._starts = [int(v) for v in snapshot["starts"]]
-        self._ends = [int(v) for v in snapshot["ends"]]
-        self._masks = [
-            int(v) for v in snapshot.get("masks", [1] * len(self._starts))
-        ]
+        """Replace contents with a :meth:`snapshot` payload, exactly.
+
+        Rows are checked first, as :meth:`RangeSet.restore` checks them,
+        and each mask must be a non-zero ``uint64``; a plain range set's
+        snapshot (no masks) restores as the first colour.  A malformed
+        payload raises :class:`ValueError` and leaves the set as it was.
+        """
+        starts, ends = checked_rows(
+            snapshot["starts"], snapshot["ends"], "snapshot ranges"
+        )
+        masks = snapshot.get("masks", [1] * len(starts))
+        if type(masks) is not list or len(masks) != len(starts) or not all(
+            type(mask) is int and 0 < mask < 1 << 64 for mask in masks
+        ):
+            raise ValueError(
+                "snapshot masks must be one non-zero 64-bit mask per range"
+            )
+        self._starts, self._ends, self._masks = starts, ends, list(masks)
         self._total = sum(
             e - s + 1 for s, e in zip(self._starts, self._ends)
         )

@@ -21,6 +21,35 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 
+def checked_rows(starts, ends, what: str) -> Tuple[List[int], List[int]]:
+    """Snapshot range rows, checked before a restore replaces anything.
+
+    ``starts`` and ``ends`` must be lists of one length whose entries
+    are exact ints inside int64 (:func:`~repro.core.events
+    .checked_int64`'s rule), each row a valid :class:`AddressRange`
+    (start >= 0, start <= end), and the rows sorted and disjoint, as a
+    range set keeps them.  Returns copies; anything else raises
+    :class:`ValueError`.
+    """
+    from repro.core.events import checked_int64  # events imports this module
+
+    if type(starts) is not list or type(ends) is not list or (
+        len(starts) != len(ends)
+    ):
+        raise ValueError(f"{what}: starts and ends must be lists of one length")
+    previous_end = -1
+    for start, end in zip(starts, ends):
+        checked_int64(start, f"{what} start")
+        checked_int64(end, f"{what} end")
+        if not previous_end < start <= end:
+            raise ValueError(
+                f"{what}: range {start}..{end} after an end at "
+                f"{previous_end} is not a sorted, disjoint, non-negative row"
+            )
+        previous_end = end
+    return list(starts), list(ends)
+
+
 @dataclass(frozen=True, order=True)
 class AddressRange:
     """An inclusive address range ``[start, end]`` as in the paper's §3.2.
@@ -319,9 +348,14 @@ class RangeSet:
         return {"starts": list(self._starts), "ends": list(self._ends)}
 
     def restore(self, snapshot: dict) -> None:
-        """Replace contents with a :meth:`snapshot` payload, exactly."""
-        self._starts = [int(v) for v in snapshot["starts"]]
-        self._ends = [int(v) for v in snapshot["ends"]]
+        """Replace contents with a :meth:`snapshot` payload, exactly.
+
+        The rows are checked first (:func:`checked_rows`); a malformed
+        one raises :class:`ValueError` and leaves the set as it was.
+        """
+        self._starts, self._ends = checked_rows(
+            snapshot["starts"], snapshot["ends"], "snapshot ranges"
+        )
         self._total = sum(
             e - s + 1 for s, e in zip(self._starts, self._ends)
         )

@@ -20,7 +20,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 from repro.core import vectorized
 from repro.core.colours import ColourRangeSet, ColourSpace
 from repro.core.config import PIFTConfig
-from repro.core.events import EventColumns, EventTrace, MemoryAccess
+from repro.core.events import (
+    EventColumns,
+    EventTrace,
+    MemoryAccess,
+    checked_int64,
+)
 from repro.core.ranges import AddressRange, RangeSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -97,6 +102,32 @@ class TimelinePoint:
     cumulative_operations: int
 
 
+def snapshot_section(payload, what: str) -> dict:
+    """``payload`` if it is a dict (one section of a snapshot); anything
+    else raises :class:`ValueError`."""
+    if type(payload) is not dict:
+        raise ValueError(
+            f"snapshot {what} must be an object, got {type(payload).__name__}"
+        )
+    return payload
+
+
+def _snapshot_counts(payload: dict, what: str, names) -> Dict[str, int]:
+    """``payload[name]`` for each of ``names``, each checked as an int64."""
+    return {
+        name: checked_int64(payload[name], f"snapshot {what} {name}")
+        for name in names
+    }
+
+
+def _snapshot_pid(key) -> int:
+    """A per-PID section key: an int64, or its decimal string (JSON
+    object keys are strings)."""
+    if type(key) is str and key.lstrip("-").isdigit():
+        key = int(key)
+    return checked_int64(key, "snapshot pid")
+
+
 @dataclass
 class TrackerStats:
     """Counters and high-water marks accumulated while tracking.
@@ -128,25 +159,31 @@ class TrackerStats:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrackerStats":
-        """Inverse of :meth:`as_dict` (checkpoint restore)."""
+        """Inverse of :meth:`as_dict` (checkpoint restore).
+
+        Every count must be an exact ``int`` inside int64
+        (:func:`~repro.core.events.checked_int64`); anything else raises
+        :class:`ValueError`.
+        """
+        payload = snapshot_section(payload, "stats")
+        timeline = payload["timeline"]
+        if type(timeline) is not list:
+            raise ValueError("snapshot stats timeline must be a list")
         return cls(
-            instructions_observed=int(payload["instructions_observed"]),
-            loads_observed=int(payload["loads_observed"]),
-            stores_observed=int(payload["stores_observed"]),
-            tainted_loads=int(payload["tainted_loads"]),
-            taint_operations=int(payload["taint_operations"]),
-            untaint_operations=int(payload["untaint_operations"]),
-            max_tainted_bytes=int(payload["max_tainted_bytes"]),
-            max_range_count=int(payload["max_range_count"]),
             timeline=[
-                TimelinePoint(
-                    instruction_index=int(p["instruction_index"]),
-                    tainted_bytes=int(p["tainted_bytes"]),
-                    range_count=int(p["range_count"]),
-                    cumulative_operations=int(p["cumulative_operations"]),
-                )
-                for p in payload["timeline"]
+                TimelinePoint(**_snapshot_counts(
+                    snapshot_section(point, "timeline point"),
+                    "timeline point",
+                    ("instruction_index", "tainted_bytes", "range_count",
+                     "cumulative_operations"),
+                ))
+                for point in timeline
             ],
+            **_snapshot_counts(payload, "stats", (
+                "instructions_observed", "loads_observed", "stores_observed",
+                "tainted_loads", "taint_operations", "untaint_operations",
+                "max_tainted_bytes", "max_range_count",
+            )),
         )
 
     def as_dict(self) -> dict:
@@ -397,33 +434,71 @@ class PIFTTracker:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Restore a :meth:`snapshot` exactly, replacing current state."""
-        config = snapshot["config"]
+        """Restore a :meth:`snapshot` exactly, replacing current state.
+
+        Everything is checked before anything is replaced: config,
+        window and stats counts are exact ints inside int64
+        (:func:`~repro.core.events.checked_int64`), ``untainting`` is a
+        ``bool``, and each taint state is restored into a fresh one from
+        the state factory, which checks its own rows.  A malformed
+        snapshot raises :class:`ValueError` (or :class:`KeyError` for a
+        missing field) and leaves the tracker as it was.
+        """
+        snapshot = snapshot_section(snapshot, "tracker")
+        config = snapshot_section(snapshot["config"], "config")
+        if type(config["untainting"]) is not bool:
+            raise ValueError(
+                "snapshot config untainting must be a bool, got "
+                f"{config['untainting']!r}"
+            )
         # ``vectorized`` is an execution-strategy flag, deliberately absent
         # from snapshots (so checkpoints stay comparable across strategies);
         # carry the current tracker's choice over.
-        self.config = PIFTConfig(
-            window_size=int(config["window_size"]),
-            max_propagations=int(config["max_propagations"]),
-            untainting=bool(config["untainting"]),
+        restored_config = PIFTConfig(
+            **_snapshot_counts(
+                config, "config", ("window_size", "max_propagations")
+            ),
+            untainting=config["untainting"],
             vectorized=self.config.vectorized,
         )
-        self._states = {}
-        self._windows = {}
-        for pid, payload in snapshot["states"].items():
+        states = {}
+        for pid, payload in snapshot_section(
+            snapshot["states"], "states"
+        ).items():
             state = self._state_factory()
-            state.restore(payload)
-            self._states[int(pid)] = state
-        for pid, payload in snapshot["windows"].items():
-            last = payload["last_tainted_load"]
-            self._windows[int(pid)] = _WindowState(
-                last_tainted_load=None if last is None else int(last),
-                propagations=int(payload["propagations"]),
-                instructions_retired=int(payload.get("instructions_retired", 0)),
+            state.restore(snapshot_section(payload, "state"))
+            states[_snapshot_pid(pid)] = state
+        windows = {
+            _snapshot_pid(pid): self._restored_window(
+                snapshot_section(payload, "window")
             )
-        self.stats = TrackerStats.from_dict(snapshot["stats"])
+            for pid, payload in snapshot_section(
+                snapshot["windows"], "windows"
+            ).items()
+        }
+        stats = TrackerStats.from_dict(snapshot["stats"])
+        self.config = restored_config
+        self._states = states
+        self._windows = windows
+        self.stats = stats
         if self._instruments is not None:
             self._instruments.rebase(self.stats)
+
+    def _restored_window(self, payload: dict) -> _WindowState:
+        """One snapshot ``windows`` entry as window state, checked."""
+        last = payload["last_tainted_load"]
+        return _WindowState(
+            last_tainted_load=None if last is None else checked_int64(
+                last, "snapshot window last_tainted_load"
+            ),
+            propagations=checked_int64(
+                payload["propagations"], "snapshot window propagations"
+            ),
+            instructions_retired=checked_int64(
+                payload.get("instructions_retired", 0),
+                "snapshot window instructions_retired",
+            ),
+        )
 
     @property
     def instructions_per_pid(self) -> Dict[int, int]:
@@ -779,16 +854,30 @@ class ColourTracker(PIFTTracker):
         return snap
 
     def restore(self, snapshot: dict) -> None:
-        super().restore(snapshot)
-        for pid, payload in snapshot["windows"].items():
-            window = self._windows[int(pid)]
-            # Snapshots from a plain tracker carry no mask; a live window
-            # restored from one defaults to the first colour so in-window
-            # adds stay well-formed.
-            default = 1 if window.last_tainted_load is not None else 0
-            window.colour_mask = int(payload.get("colour_mask", default))
+        """:meth:`PIFTTracker.restore`, plus window colour masks (each a
+        ``uint64``) and the colour registry, all checked first."""
+        colours = self.colours
         if "colours" in snapshot:
-            self.colours = ColourSpace.from_snapshot(snapshot["colours"])
+            colours = ColourSpace.from_snapshot(
+                snapshot_section(snapshot["colours"], "colours")
+            )
+        super().restore(snapshot)
+        self.colours = colours
+
+    def _restored_window(self, payload: dict) -> _WindowState:
+        window = super()._restored_window(payload)
+        # Snapshots from a plain tracker carry no mask; a live window
+        # restored from one defaults to the first colour so in-window
+        # adds stay well-formed.
+        mask = payload.get(
+            "colour_mask", 1 if window.last_tainted_load is not None else 0
+        )
+        if type(mask) is not int or not 0 <= mask < 1 << 64:
+            raise ValueError(
+                f"snapshot window colour_mask must be a uint64, got {mask!r}"
+            )
+        window.colour_mask = mask
+        return window
 
 
 def track_trace(

@@ -36,6 +36,8 @@ import asyncio
 from typing import Dict, List, Optional
 
 from repro.core.config import OverflowPolicy, PIFTConfig
+from repro.core.events import checked_int64
+from repro.core.tracker import snapshot_section
 from repro.serve.shard import ShardError, ShardKey, TrackerShard
 
 
@@ -302,8 +304,10 @@ class ShardRouter:
         self, snapshot: dict, worker_id: Optional[int] = None
     ) -> int:
         """Revive a drained shard (optionally on a named worker)."""
+        snapshot = snapshot_section(snapshot, "shard")
         key: ShardKey = (
-            str(snapshot.get("device")), int(snapshot.get("pid", 0))
+            str(snapshot.get("device")),
+            checked_int64(snapshot.get("pid"), "snapshot pid"),
         )
         if key in self.shards:
             raise ShardError(f"shard {key[0]}/{key[1]} is already live")

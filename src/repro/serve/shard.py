@@ -29,8 +29,9 @@ from typing import List, Optional, Tuple
 from repro.core.buffered import BufferedPIFT
 from repro.core.colours import ColourSpace
 from repro.core.config import OverflowPolicy, PIFTConfig
-from repro.core.events import EventColumns
+from repro.core.events import EventColumns, checked_int64
 from repro.core.ranges import AddressRange
+from repro.core.tracker import snapshot_section
 
 #: One shard key: the (device_id, pid) pair the router hashes on.
 ShardKey = Tuple[str, int]
@@ -199,7 +200,17 @@ class TrackerShard:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`snapshot` taken from a same-shaped shard."""
+        """Adopt a :meth:`snapshot` taken from a same-shaped shard.
+
+        The snapshot is checked whole before anything is replaced: its
+        identity here, its counters as exact ints inside int64
+        (:func:`~repro.core.events.checked_int64`), and the buffer, FIFO
+        and tracker by :meth:`BufferedPIFT.restore`, which checks every
+        field of its own before it changes anything.  A malformed
+        snapshot raises :class:`ShardError` or :class:`ValueError` and
+        leaves the shard as it was.
+        """
+        snapshot = snapshot_section(snapshot, "shard")
         if snapshot.get("version") != SHARD_SNAPSHOT_VERSION:
             raise ShardError(
                 f"shard snapshot version {snapshot.get('version')!r}, "
@@ -211,14 +222,22 @@ class TrackerShard:
                 f"(snapshot coloured={snapshot.get('coloured')}, "
                 f"daemon coloured={self.coloured})"
             )
-        if (snapshot.get("device"), int(snapshot.get("pid", -1))) != self.key:
+        pid = checked_int64(snapshot.get("pid"), "snapshot pid")
+        if (snapshot.get("device"), pid) != self.key:
             raise ShardError(
                 f"snapshot is for shard {snapshot.get('device')}/"
                 f"{snapshot.get('pid')}, not {self.key[0]}/{self.key[1]}"
             )
+        counters = snapshot_section(snapshot.get("counters", {}), "counters")
+        counts = {
+            name: checked_int64(
+                counters.get(name, 0), f"snapshot counters {name}"
+            )
+            for name in ("events_ingested", "checks_answered",
+                         "sources_registered", "restores")
+        }
         self.buffered.restore(snapshot["buffered"])
-        counters = snapshot.get("counters", {})
-        self.events_ingested = int(counters.get("events_ingested", 0))
-        self.checks_answered = int(counters.get("checks_answered", 0))
-        self.sources_registered = int(counters.get("sources_registered", 0))
-        self.restores = int(counters.get("restores", 0)) + 1
+        self.events_ingested = counts["events_ingested"]
+        self.checks_answered = counts["checks_answered"]
+        self.sources_registered = counts["sources_registered"]
+        self.restores = counts["restores"] + 1

@@ -301,7 +301,7 @@ class RunJournal:
         One dict per checkpointed cell, in index order, carrying the
         deterministic identity plus the run's timing bookkeeping —
         ``worker`` is the evaluating process's pid, the join key against
-        the relayed telemetry stream's track metadata.
+        the worker ids in the run's telemetry stream.
         """
         rows = []
         for index in sorted(self.completed):

@@ -171,10 +171,11 @@ class TraceCache:
     def from_payload(
         cls, payload: Dict, telemetry=None
     ) -> "TraceCache":
-        """Rebuild a worker-side cache; ``telemetry`` (the worker's relay
+        """Rebuild a worker-side cache; ``telemetry`` (the worker's own
         hub, when the sweep runs instrumented) feeds the re-opened
-        store's ``store.*`` counters so parallel-run store traffic is
-        attributed instead of lost."""
+        store's ``store.*`` counters, which reach the parent with the
+        worker's results, so parallel-run store traffic is attributed
+        instead of lost."""
         store = None
         if payload.get("store_path"):
             from repro.store import ArtifactStore

@@ -6,8 +6,13 @@ dependency) or hang.  The dispatcher does not trust them; it leases:
 * the parent assigns one cell at a time to each worker process over a
   private duplex pipe, granting a TTL **lease**
   (:class:`~repro.sweep.leases.LeaseSupervisor`) at assignment;
-* workers heartbeat over the same pipe (and, when telemetry is on, via
-  the relay heartbeats — both renew the lease);
+* workers heartbeat over the same pipe, and each heartbeat renews the
+  lease; with ``stall_timeout`` set, a leased worker quiet for that long
+  is reported once per quiet spell (``on_stall``);
+* with telemetry on, each worker's spans and metric deltas ride its
+  ``result`` message on the same pipe and merge into the parent hub
+  (:mod:`repro.telemetry.relay`), so a worker has one channel and one
+  liveness model;
 * a dead worker (process exit) or an expired lease (hung/SIGSTOPped
   process, which the parent then SIGKILLs) requeues the cell with
   exponential backoff + deterministic jitter and respawns a replacement
@@ -30,10 +35,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.sweep.chaos import ChaosInjector, ChaosPlan
 from repro.sweep.leases import BackoffPolicy, LeaseSupervisor, PoisonedCell
+from repro.telemetry.hub import active
+from repro.telemetry.relay import merge_worker_telemetry, worker_hub
 
 #: Seconds between worker control-plane heartbeats (lease renewals).
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -64,41 +71,32 @@ class DispatchStats:
 
 def _queue_worker_main(
     conn,
+    worker_id: int,
     cache_payload: dict,
-    relay_payload: Optional[dict],
+    telemetered: bool,
     chaos_payload: Optional[dict],
     heartbeat_interval: float,
 ) -> None:
     """Long-lived worker loop: recv cell, claim, evaluate, ship result.
 
     The worker rebuilds the trace cache once, from ``cache_payload``, and
-    with telemetry on (``relay_payload``) its own relay-backed hub.  All
-    sends share one lock (the heartbeat thread and the main thread write
-    the same pipe); a vanished parent turns sends into no-ops and the
-    next ``recv`` ends the loop.
+    with ``telemetered`` its own hub (:func:`~repro.telemetry.relay
+    .worker_hub`); what the hub gathered since the previous result rides
+    the next ``result``.  All sends share one lock (the heartbeat thread
+    and the main thread write the same pipe); a vanished parent turns
+    sends into no-ops and the next ``recv`` ends the loop.
     """
     from repro.sweep.cache import TraceCache
     from repro.sweep.engine import run_cell
 
-    telemetry = None
-    if relay_payload is not None:
-        from repro.telemetry.relay import init_worker_telemetry
-
-        telemetry = init_worker_telemetry(relay_payload)
+    telemetry = worker_hub(worker_id) if telemetered else None
     cache = TraceCache.from_payload(cache_payload, telemetry=telemetry)
 
     def evaluate(cell):
+        result = run_cell(cell, cache, telemetry=telemetry)
         if telemetry is None:
-            return run_cell(cell, cache)
-        client = telemetry.relay_client
-        client.current_cell = cell.index
-        client.heartbeat()  # mark the cell busy before any work happens
-        try:
-            result = run_cell(cell, cache, telemetry=telemetry)
-        finally:
-            client.current_cell = None
-        client.ship_snapshot(telemetry.metrics, cell.index)
-        return result
+            return result, None
+        return result, telemetry.writer.take(telemetry.metrics)
 
     chaos = ChaosPlan.from_payload(chaos_payload)
     injector = ChaosInjector(chaos) if chaos is not None else None
@@ -134,11 +132,11 @@ def _queue_worker_main(
             send(("claim", cell.index, attempt))
             try:
                 if injector is not None:
-                    result = injector.run(
+                    result, shipped = injector.run(
                         cell.index, attempt, lambda: evaluate(cell)
                     )
                 else:
-                    result = evaluate(cell)
+                    result, shipped = evaluate(cell)
             except Exception as error:
                 current_cell[0] = None
                 send(
@@ -146,7 +144,7 @@ def _queue_worker_main(
                 )
                 continue
             current_cell[0] = None
-            send(("result", cell.index, result))
+            send(("result", cell.index, result, shipped))
     finally:
         stop.set()
 
@@ -163,6 +161,11 @@ class _WorkerHandle:
         self.conn = conn
         self.lease = None
         self.dead = False
+
+    @property
+    def worker_id(self) -> int:
+        """The id telemetry names this worker by (0 is the parent)."""
+        return self.ident + 1
 
     @property
     def pid(self) -> Optional[int]:
@@ -192,9 +195,19 @@ class QueueBackend:
             :class:`~repro.sweep.leases.BackoffPolicy`).
         chaos: a :class:`~repro.sweep.chaos.ChaosPlan` injected into
             workers (tests/CI only).
-        heartbeat_interval: worker control heartbeat cadence.
-        on_retry / on_poison / on_death: observer callbacks the engine
-            uses for journaling and telemetry events.
+        heartbeat_interval: worker heartbeat cadence.
+        stall_timeout: seconds a leased worker may go unheard before it
+            is reported stalled (``None``: never).  Each quiet spell is
+            reported once, as a ``worker_stall`` event and a
+            ``sweep.worker.stalls`` increment when telemetry is on, and
+            as ``on_stall(worker_id, cell_index, quiet_seconds)``; the
+            next renewal re-arms it.
+        telemetry: the parent hub.  When enabled, every worker builds
+            its own hub, each completed cell's worker telemetry merges
+            here, and each claim or heartbeat emits a ``heartbeat``
+            event.
+        on_retry / on_poison / on_death / on_stall: observer callbacks
+            the engine uses for journaling and telemetry events.
     """
 
     def __init__(
@@ -206,12 +219,19 @@ class QueueBackend:
         backoff: Optional[BackoffPolicy] = None,
         chaos: Optional[ChaosPlan] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
+        stall_timeout: Optional[float] = None,
+        telemetry=None,
         on_retry: Optional[Callable[[int, int, str], None]] = None,
         on_poison: Optional[Callable[[PoisonedCell], None]] = None,
         on_death: Optional[Callable[[int, Optional[int]], None]] = None,
+        on_stall: Optional[Callable[[int, int, float], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if stall_timeout is not None and stall_timeout <= 0:
+            raise ValueError(
+                f"stall_timeout must be positive, got {stall_timeout}"
+            )
         self.jobs = jobs
         #: Where workers start: fork where the platform has it.
         self.context = multiprocessing.get_context(
@@ -226,31 +246,13 @@ class QueueBackend:
         self.backoff = backoff
         self.chaos = chaos
         self.heartbeat_interval = heartbeat_interval
+        self.stall_timeout = stall_timeout
+        self.telemetry = active(telemetry)
         self.on_retry = on_retry
         self.on_poison = on_poison
         self.on_death = on_death
+        self.on_stall = on_stall
         self.stats = DispatchStats()
-        #: pids whose relay heartbeats arrived since the last tick
-        #: (filled from the relay drain thread, applied on the main loop).
-        self._relay_beats: set = set()
-        self._relay_beats_lock = threading.Lock()
-
-    # -- relay integration -------------------------------------------------
-
-    def renew_lease_by_pid(self, pid: Optional[int]) -> None:
-        """Relay-heartbeat hook: mark ``pid`` alive (thread-safe)."""
-        if pid is not None:
-            with self._relay_beats_lock:
-                self._relay_beats.add(int(pid))
-
-    def _apply_relay_beats(self, supervisor: LeaseSupervisor, now: float) -> None:
-        with self._relay_beats_lock:
-            beats, self._relay_beats = self._relay_beats, set()
-        if not beats:
-            return
-        for handle in self._workers:
-            if not handle.dead and handle.pid in beats:
-                supervisor.heartbeat(handle.ident, now)
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -262,8 +264,9 @@ class QueueBackend:
             target=_queue_worker_main,
             args=(
                 child_conn,
+                ident + 1,
                 self._cache_payload,
-                self._relay_payload,
+                self.telemetry is not None,
                 self.chaos.as_payload() if self.chaos is not None else None,
                 self.heartbeat_interval,
             ),
@@ -330,12 +333,24 @@ class QueueBackend:
         kind = message[0]
         if kind == "heartbeat" or kind == "claim":
             supervisor.heartbeat(handle.ident, now)
+            if self.telemetry is not None:
+                self._heartbeats.inc()
+                self.telemetry.event(
+                    "heartbeat",
+                    worker_id=handle.worker_id,
+                    pid=handle.pid,
+                    cell_index=message[1],
+                )
         elif kind == "result":
-            _, cell_index, result = message
+            _, cell_index, result, shipped = message
             supervisor.heartbeat(handle.ident, now)
             if handle.lease is not None and handle.lease.cell_index == cell_index:
                 handle.lease = None
             if supervisor.complete(cell_index):
+                if self.telemetry is not None:
+                    self._events_merged.inc(merge_worker_telemetry(
+                        self.telemetry, handle.worker_id, handle.pid, shipped
+                    ))
                 note(result)
         elif kind == "error":
             _, cell_index, error = message
@@ -376,13 +391,7 @@ class QueueBackend:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(
-        self,
-        pending,
-        cache_payload: dict,
-        note,
-        relay_payload: Optional[dict] = None,
-    ) -> DispatchStats:
+    def run(self, pending, cache_payload: dict, note) -> DispatchStats:
         """Evaluate ``pending`` cells; returns dispatch accounting.
 
         ``note`` is called exactly once per completed cell, in
@@ -397,7 +406,15 @@ class QueueBackend:
         self._workers: List[_WorkerHandle] = []
         self._next_ident = 0
         self._cache_payload = cache_payload
-        self._relay_payload = relay_payload
+        if self.telemetry is not None:
+            metrics = self.telemetry.metrics
+            self._events_merged = metrics.counter(
+                "sweep.relay.events_merged",
+                "worker telemetry records merged into the parent hub",
+            )
+            self._heartbeats = metrics.counter(
+                "sweep.relay.heartbeats", "worker claims and heartbeats received"
+            )
         now = time.monotonic()
         supervisor = LeaseSupervisor(
             pending,
@@ -412,11 +429,11 @@ class QueueBackend:
         try:
             while not supervisor.done():
                 now = time.monotonic()
-                self._apply_relay_beats(supervisor, now)
                 self._assign(supervisor, now)
                 self._drain(supervisor, note, self._wait_budget(supervisor, now))
                 now = time.monotonic()
                 self._reap(supervisor, now)
+                self._report_stalls(supervisor, now)
                 self._expire(supervisor, now)
                 self._check_progress(supervisor)
         finally:
@@ -451,6 +468,29 @@ class QueueBackend:
             if not handle.dead and not handle.process.is_alive():
                 self._note_lost_lease(handle, supervisor)
                 self._handle_death(handle, supervisor, now)
+
+    def _report_stalls(self, supervisor: LeaseSupervisor, now: float) -> None:
+        if self.stall_timeout is None:
+            return
+        for lease in supervisor.stalled_leases(now, self.stall_timeout):
+            handle = next(
+                handle for handle in self._workers
+                if handle.ident == lease.worker
+            )
+            quiet = now - lease.heard_at
+            if self.telemetry is not None:
+                self.telemetry.metrics.counter(
+                    "sweep.worker.stalls", "workers gone quiet mid-cell"
+                ).inc()
+                self.telemetry.event(
+                    "worker_stall",
+                    worker_id=handle.worker_id,
+                    pid=handle.pid,
+                    cell_index=lease.cell_index,
+                    quiet_seconds=round(quiet, 3),
+                )
+            if self.on_stall is not None:
+                self.on_stall(handle.worker_id, lease.cell_index, quiet)
 
     def _expire(self, supervisor: LeaseSupervisor, now: float) -> None:
         for lease in supervisor.expired_leases(now):

@@ -330,10 +330,10 @@ def _dispatch_hooks(journal, telemetry) -> dict:
 class _EngineInstruments:
     """Parent-side telemetry for a sweep run.
 
-    Workers report back through :class:`repro.telemetry.relay
-    .TelemetryRelay` when one is attached; these instruments cover what
-    only the parent sees (completion order, journal resume, run wall
-    time).  Per-cell durations land twice: once in the aggregate
+    Dispatcher workers' own telemetry merges through
+    :func:`repro.telemetry.relay.merge_worker_telemetry`; these
+    instruments cover what only the parent sees (completion order,
+    journal resume, run wall time).  Per-cell durations land twice: once in the aggregate
     ``sweep.cell.duration_seconds`` histogram and once in a
     ``worker_id``-labelled series per worker process.
     """
@@ -384,8 +384,9 @@ def run_sweep(
     worker that dies or goes quiet loses its lease, and its cell is
     retried on a replacement.  ``backend_options`` are the dispatcher's
     keyword arguments, e.g. ``{"lease_timeout": 10.0, "max_retries":
-    2}`` or a ``chaos`` plan; passing any at ``jobs=1`` raises
-    :class:`ValueError`, since no dispatcher runs there.  A cell that
+    2}`` or a ``chaos`` plan; passing any (or ``stall_timeout``) at
+    ``jobs=1`` raises :class:`ValueError`, since no dispatcher runs
+    there.  A cell that
     exhausts its retry budget is quarantined instead of crashing the
     sweep: it appears in ``SweepResult.poisoned`` (and the journal) and
     its slot is simply absent from ``cells``.  Because cells are pure,
@@ -402,24 +403,25 @@ def run_sweep(
     exact grid (fingerprint-checked; :class:`repro.store.JournalError`
     otherwise).
 
-    With telemetry enabled and ``jobs > 1``, a
-    :class:`~repro.telemetry.relay.TelemetryRelay` is attached: every
-    worker gets its own hub whose spans and metric deltas ship back over
-    a queue and merge here with ``worker_id``/``cell_index``
-    attribution, and its heartbeats renew the worker's lease.
-    ``stall_timeout`` arms the relay's straggler detector: a worker
-    quiet for longer than that many seconds mid-cell raises a
-    ``worker_stall`` telemetry event and calls ``on_stall(worker_id,
-    cell_index, quiet_seconds)``.  All of it is observational — results
-    stay bit-identical to a telemetry-off run.
+    With telemetry enabled and ``jobs > 1``, every dispatcher worker
+    gets its own hub whose spans and metric deltas ride each cell's
+    result over the worker's pipe and merge here with ``worker_id``/
+    ``cell_index`` attribution.  ``stall_timeout`` has the dispatcher
+    report a leased worker quiet for longer than that many seconds: a
+    ``worker_stall`` telemetry event (with a hub) and a call to
+    ``on_stall(worker_id, cell_index, quiet_seconds)``.  All of it is
+    observational — results stay bit-identical to a telemetry-off run.
     """
     cells = list(work.cells() if isinstance(work, GridSpec) else work)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend_options and jobs == 1:
+    dispatcher_only = sorted(backend_options or {}) + (
+        ["stall_timeout"] if stall_timeout is not None else []
+    )
+    if dispatcher_only and jobs == 1:
         raise ValueError(
-            "backend_options configure the worker dispatcher, which runs "
-            f"only at jobs > 1: {sorted(backend_options)} at jobs=1"
+            f"{dispatcher_only} configure the worker dispatcher, which "
+            "runs only at jobs > 1"
         )
     if len({cell.index for cell in cells}) != len(cells):
         raise ValueError("cell indexes must be unique within one sweep")
@@ -473,31 +475,13 @@ def run_sweep(
     if jobs > 1 and pending:
         backend = QueueBackend(
             jobs=jobs,
+            stall_timeout=stall_timeout,
+            telemetry=telemetry,
+            on_stall=on_stall,
             **_dispatch_hooks(journal, telemetry),
             **(backend_options or {}),
         )
-        relay = None
-        relay_payload = None
-        if instruments is not None:
-            from repro.telemetry.relay import TelemetryRelay
-
-            # Relay heartbeats double as lease renewals: a worker deep
-            # in a long cell stays leased as long as it keeps talking to
-            # the telemetry relay.
-            relay = TelemetryRelay(
-                telemetry,
-                backend.context,
-                stall_timeout=stall_timeout,
-                on_stall=on_stall,
-                on_heartbeat=backend.renew_lease_by_pid,
-            )
-            relay_payload = relay.worker_payload()
-            relay.start()
-        try:
-            stats = backend.run(pending, cache.payload(), note, relay_payload)
-        finally:
-            if relay is not None:
-                relay.stop()
+        stats = backend.run(pending, cache.payload(), note)
     else:
         for cell in pending:
             note(run_cell(cell, cache, telemetry=telemetry))

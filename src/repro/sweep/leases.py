@@ -75,9 +75,15 @@ class Lease:
     attempt: int
     granted_at: float
     deadline: float
+    #: When the holder was last heard from: the grant, then each renewal.
+    heard_at: float = 0.0
+    #: Reported stalled in the current quiet spell; a renewal clears it.
+    stalled: bool = False
 
     def renew(self, now: float, ttl: float) -> None:
+        self.heard_at = now
         self.deadline = now + ttl
+        self.stalled = False
 
     def expired(self, now: float) -> bool:
         return now > self.deadline
@@ -113,6 +119,8 @@ class LeaseSupervisor:
     * :meth:`expired_leases` names leases past their TTL (dead or hung
       holder — the dispatcher kills the process, then calls
       :meth:`worker_lost`);
+    * :meth:`stalled_leases` names leases whose holder has gone quiet
+      for a shorter, report-only timeout, once per quiet spell;
     * :meth:`worker_lost` / :meth:`fail` requeue with backoff or, once
       the retry budget is spent, quarantine the cell as poisoned;
     * :meth:`complete` retires a cell (stale duplicate results from a
@@ -202,6 +210,7 @@ class LeaseSupervisor:
             attempt=self._attempts[cell_index],
             granted_at=now,
             deadline=now + self.lease_timeout,
+            heard_at=now,
         )
         self.leases[cell_index] = lease
         return lease
@@ -221,6 +230,20 @@ class LeaseSupervisor:
         return [
             lease for lease in self.leases.values() if lease.expired(now)
         ]
+
+    def stalled_leases(self, now: float, timeout: float) -> List[Lease]:
+        """Leases whose holder has been quiet for longer than ``timeout``.
+
+        Each quiet spell is reported once: a reported lease is skipped
+        until a :meth:`heartbeat` renews it.
+        """
+        stalled = [
+            lease for lease in self.leases.values()
+            if not lease.stalled and now - lease.heard_at > timeout
+        ]
+        for lease in stalled:
+            lease.stalled = True
+        return stalled
 
     def complete(self, cell_index: int) -> bool:
         """Retire a finished cell; False when it was already retired."""

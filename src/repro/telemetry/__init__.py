@@ -11,9 +11,9 @@ The observability layer for the PIFT stack:
   format;
 * :mod:`repro.telemetry.hub` — the :class:`Telemetry` facade threaded
   through the stack, and the :func:`active` disabled-path contract;
-* :mod:`repro.telemetry.relay` — the cross-process channel that ships
-  sweep-worker spans, heartbeats and metric deltas back to the parent
-  hub during a parallel sweep;
+* :mod:`repro.telemetry.relay` — what a sweep worker's hub keeps
+  (spans and metric deltas, which ride each result over the dispatcher's
+  per-worker pipe) and the function that merges it into the parent hub;
 * :mod:`repro.telemetry.tracefmt` — the in-memory flight recorder and
   its Chrome trace-event (Perfetto-loadable) export.
 
@@ -45,12 +45,6 @@ from repro.telemetry.metrics import (
     NullRegistry,
     labeled_name,
 )
-from repro.telemetry.relay import (
-    RelayClient,
-    RelayWriter,
-    StallDetector,
-    TelemetryRelay,
-)
 from repro.telemetry.spans import Span, SpanContext, timed
 from repro.telemetry.tracefmt import (
     FlightRecorder,
@@ -77,14 +71,10 @@ __all__ = [
     "NullGauge",
     "NullHistogram",
     "NullRegistry",
-    "RelayClient",
-    "RelayWriter",
     "Span",
     "SpanContext",
-    "StallDetector",
     "TeeWriter",
     "Telemetry",
-    "TelemetryRelay",
     "TelemetryWriter",
     "active",
     "escape_label_value",

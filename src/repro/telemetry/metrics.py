@@ -210,8 +210,9 @@ class Histogram:
     ) -> None:
         """Fold another histogram's raw per-bucket counts into this one.
 
-        Used by the telemetry relay to merge worker-side histograms into
-        the parent registry; the caller guarantees matching buckets.
+        Used by :func:`~repro.telemetry.relay.merge_wire` to merge
+        sweep-worker histograms into the parent registry; the caller
+        guarantees matching buckets.
         """
         if len(counts) != len(self.counts):
             raise ValueError(
@@ -268,8 +269,8 @@ class MetricsRegistry:
     """Get-or-create home for all instruments, keyed by dotted name.
 
     A name plus a label set identifies one instrument: the same name with
-    different labels is a different time series (the relay uses this for
-    per-worker ``sweep.cell.duration_seconds`` histograms).
+    different labels is a different time series (the sweep engine uses
+    this for per-worker ``sweep.cell.duration_seconds`` histograms).
     """
 
     def __init__(self) -> None:

@@ -1,14 +1,14 @@
 """The run flight recorder and its Chrome trace-event export.
 
 A sweep run's merged telemetry stream — parent spans, per-worker per-cell
-spans relayed back by :mod:`repro.telemetry.relay`, heartbeats, engine
-events — is captured by a :class:`FlightRecorder` (a writer-shaped sink
-that keeps records in memory with absolute monotonic timestamps) and can
-be exported two ways:
+spans merged from each worker's results by :mod:`repro.telemetry.relay`,
+heartbeats, engine events — is captured by a :class:`FlightRecorder` (a
+writer-shaped sink that keeps records in memory with absolute monotonic
+timestamps) and can be exported two ways:
 
 * :func:`to_chrome_trace` — the Chrome trace-event JSON format (the
   ``traceEvents`` array form), loadable in Perfetto or
-  ``chrome://tracing``.  Each relay worker becomes one named thread
+  ``chrome://tracing``.  Each dispatcher worker becomes one named thread
   track (``tid`` = worker id, parent is tid 0), spans become complete
   (``"ph": "X"``) events carrying ``cell_index`` attribution in
   ``args``, and everything else becomes an instant event;
@@ -44,7 +44,7 @@ class FlightRecorder:
     Implements the hub writer protocol (``emit`` / ``flush`` / ``close``)
     so it can be attached to a :class:`~repro.telemetry.hub.Telemetry`
     directly or fanned in via :class:`~repro.telemetry.writer.TeeWriter`.
-    Records merged from relay workers already carry their worker-side
+    Records merged from sweep workers already carry their worker-side
     ``mono`` timestamp; locally-emitted records are stamped here.
     """
 

@@ -55,8 +55,9 @@ class TelemetryWriter:
         self._start = time.perf_counter()
         self.event_count = 0
         self.closed = False
-        # The sweep relay merges worker events from a drain thread while
-        # the main thread emits its own; serialise the buffer mutations.
+        # A hub may be shared by several threads; serialise the buffer
+        # mutations so their lines never interleave.  (Sweep workers'
+        # events merge on the dispatcher's main loop, one thread.)
         self._lock = threading.Lock()
 
     # -- emission --------------------------------------------------------

@@ -171,25 +171,44 @@ class TestStoreJson:
         )
 
     def test_report_and_trace_out_schemas(self, capsys, tmp_path):
-        """Schema freeze for ``repro report --json`` and ``--trace-out``."""
+        """Schema freeze for ``repro report --json`` and ``--trace-out``,
+        on a telemetered ``--jobs 4`` sweep: the trace is
+        Perfetto-loadable and covers every cell on dispatcher-worker
+        tracks, and the report reconstructs the run from the journal and
+        its stream."""
         from repro.telemetry import validate_chrome_trace
 
         store_dir = str(tmp_path / "report-store")
         trace_path = tmp_path / "run.trace.json"
         capsys.readouterr()
         assert main([
-            "sweep", "--windows", "5,13", "--caps", "2", "--jobs", "2",
-            "--store", store_dir, "--run-id", "run-smoke",
-            "--trace-out", str(trace_path), "--stall-timeout", "60",
+            "sweep", "--windows", "3,5,13,20", "--caps", "2,3",
+            "--jobs", "4", "--store", store_dir, "--run-id", "run-smoke",
+            "--trace-out", str(trace_path), "--stall-timeout", "120",
             "--json",
         ]) == 0
         sweep_payload = json.loads(capsys.readouterr().out)
         assert sweep_payload["trace_out"] == str(trace_path)
 
+        # validate_chrome_trace checks the required keys (name/ph/ts/
+        # pid/tid), non-negative monotonic timestamps per tid, and dur
+        # on complete events: the invariants Perfetto's loader needs.
         document = json.loads(trace_path.read_text())
         summary = validate_chrome_trace(document)
-        assert summary["spans"] >= 2  # one sweep.cell span per cell
+        assert summary["spans"] >= 8  # one sweep.cell span per cell
         assert document["otherData"]["run_id"] == "run-smoke"
+        cell_spans = [
+            event for event in document["traceEvents"]
+            if event.get("name") == "sweep.cell" and event["ph"] == "X"
+        ]
+        assert {
+            event["args"].get("cell_index") for event in cell_spans
+        } == set(range(8))
+        # Every span sits on a dispatcher worker's track; how many of
+        # the 4 workers win cells depends on the host's cores, so only
+        # genuine cross-process coverage is required.
+        tids = {event["tid"] for event in cell_spans}
+        assert tids <= {1, 2, 3, 4} and len(tids) >= 2, tids
 
         capsys.readouterr()
         assert main([
@@ -203,7 +222,8 @@ class TestStoreJson:
             "telemetry",
         } <= report.keys()
         assert report["run_id"] == "run-smoke"
-        assert report["cells_completed"] == report["cells_total"] == 2
+        assert report["cells_completed"] == report["cells_total"] == 8
+        assert 2 <= len(report["per_worker"]) <= 4, report["per_worker"]
         for row in report["per_cell"]:
             assert {
                 "index", "ni", "nt", "rate", "site", "accuracy",
@@ -217,9 +237,9 @@ class TestStoreJson:
             } <= worker.keys()
         assert {
             "events", "cell_spans", "heartbeats", "stalls",
-            "dropped_events", "store_hits", "store_misses",
+            "store_hits", "store_misses",
         } <= report["telemetry"].keys()
-        assert report["telemetry"]["cell_spans"] == 2
+        assert report["telemetry"]["cell_spans"] == 8
 
         # Human form renders without a telemetry/store requirement.
         capsys.readouterr()
@@ -333,10 +353,18 @@ class TestQueueBackendCli:
         ["--lease-timeout", "5"],
         ["--max-retries", "0"],
         ["--max-worker-restarts", "2"],
-    ], ids=["lease-timeout", "max-retries", "max-worker-restarts"])
+        ["--stall-timeout", "5"],
+    ], ids=["lease-timeout", "max-retries", "max-worker-restarts",
+            "stall-timeout"])
     def test_dispatcher_flags_require_jobs_above_1(self, flags):
         with pytest.raises(SystemExit, match="--jobs above 1"):
             main(self.ARGS + flags)
+
+    def test_faults_stall_timeout_requires_jobs_above_1(self):
+        """``faults`` runs its sweep on the same dispatcher, so its
+        ``--stall-timeout`` is refused at ``--jobs 1`` too."""
+        with pytest.raises(SystemExit, match="--jobs above 1"):
+            main(["faults", "--suite", "malware", "--stall-timeout", "5"])
 
     def test_bad_chaos_spec_rejected(self):
         with pytest.raises(SystemExit, match="--chaos: "):

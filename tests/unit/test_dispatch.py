@@ -1,7 +1,8 @@
 """Tests for repro.sweep.dispatch: the lease dispatcher.
 
 Process-level coverage of the dispatcher every ``jobs > 1`` sweep runs
-on — fault-free parity with the inline path, chaos-driven worker deaths,
+on — fault-free parity with the inline path, chaos-driven worker deaths
+(grids and telemetry stay exact), stalls read off leases,
 retry-then-poison quarantine, journal integration, and interrupt/resume
 semantics.  The pure lease bookkeeping is covered in ``test_leases.py``.
 """
@@ -66,14 +67,55 @@ class TestQueueBackend:
         assert survived.retries > 0
         assert survived.poisoned == []
 
+    def test_chaos_kills_keep_telemetry_exact(self, cache):
+        """Telemetry rides completed results only: a killed attempt
+        merges nothing and its requeued cell merges once, so spans and
+        tracker totals match the inline run's exactly."""
+        from repro.telemetry import FlightRecorder, Telemetry
+
+        chaos = ChaosPlan.parse("kill-workers:0.3", seed=7)
+        serial_hub = Telemetry(writer=FlightRecorder())
+        run_sweep(SPEC, cache=cache, jobs=1, telemetry=serial_hub)
+        parallel_hub = Telemetry(writer=FlightRecorder())
+        survived = run_sweep(SPEC, cache=cache, jobs=3,
+                             telemetry=parallel_hub,
+                             backend_options={**FAST, "chaos": chaos})
+        assert survived.worker_deaths > 0
+
+        def cell_spans(hub):
+            return sorted(
+                (record["cell_index"], record["ni"], record["nt"],
+                 record["rate"])
+                for record in hub.writer.records
+                if record["type"] == "span" and record["name"] == "sweep.cell"
+            )
+
+        assert cell_spans(parallel_hub) == cell_spans(serial_hub)
+        assert len(cell_spans(serial_hub)) == len(SPEC)
+        for name in ("tracker.events", "tracker.loads", "tracker.stores"):
+            assert (
+                parallel_hub.metrics.get(name).value
+                == serial_hub.metrics.get(name).value
+            ), name
+
     def test_chaos_hang_expires_lease_and_recovers(self, cache, serial):
         chaos = ChaosPlan.parse("hang-workers:0.25", seed=11)
+        stalls = []
         survived = run_sweep(
             SPEC, cache=cache, jobs=2,
+            stall_timeout=0.2,
+            on_stall=lambda worker, cell, quiet: stalls.append(cell),
             backend_options={**FAST, "lease_timeout": 0.5, "chaos": chaos},
         )
         assert digest(survived) == digest(serial)
         assert survived.worker_deaths > 0  # frozen holders were killed
+        # Each frozen first attempt goes quiet past the stall timeout
+        # before its lease expires, and is reported without a hub.
+        frozen = {
+            cell.index for cell in SPEC.cells()
+            if chaos.decision(cell.index, 1) == "hang"
+        }
+        assert frozen and frozen <= set(stalls)
 
     def test_failing_cells_are_poisoned_not_fatal(self, cache, serial):
         chaos = ChaosPlan.parse("fail-cells:1.0", seed=7)
@@ -120,6 +162,14 @@ class TestQueueBackend:
         for options in ({"lease_timeout": 1.0}, {"chaos": chaos}):
             with pytest.raises(ValueError, match="jobs > 1"):
                 run_sweep(SPEC, cache=cache, jobs=1, backend_options=options)
+        # Stalls are read off the dispatcher's leases: none exist inline.
+        with pytest.raises(ValueError, match="jobs > 1"):
+            run_sweep(SPEC, cache=cache, jobs=1, stall_timeout=1.0)
+
+    def test_stall_timeout_must_be_positive(self):
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError, match="stall_timeout"):
+                QueueBackend(jobs=2, stall_timeout=timeout)
 
     def test_reused_backend_starts_from_no_workers(self, cache, serial):
         # A second run must not send cells to the first run's stopped
@@ -272,12 +322,12 @@ class TestTelemetryIntegration:
         assert telemetry.metrics.get("sweep.cell.retries") is None
         assert telemetry.metrics.get("sweep.worker.deaths") is None
 
-    def test_relay_heartbeats_renew_leases(self, cache):
+    def test_heartbeats_renew_leases_with_telemetry_on(self, cache):
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        # Lease TTL far below the cell runtime ceiling but heartbeats
-        # (control-plane at 50ms + relay) keep every lease alive: no
+        # Lease TTL far below the cell runtime ceiling but the workers'
+        # pipe heartbeats (every 50ms) keep every lease alive: no
         # deaths, no retries, clean parity.
         result = run_sweep(
             SPEC, cache=cache, jobs=2, telemetry=telemetry,
@@ -285,3 +335,31 @@ class TestTelemetryIntegration:
         )
         assert result.worker_deaths == 0
         assert result.retries == 0
+        assert telemetry.metrics.get("sweep.relay.heartbeats").value > 0
+        assert telemetry.metrics.get("sweep.relay.events_merged").value > 0
+
+    def test_stalls_are_counted_and_logged_with_a_hub(self, cache):
+        from repro.telemetry import FlightRecorder, Telemetry
+
+        recorder = FlightRecorder()
+        telemetry = Telemetry(writer=recorder)
+        stalls = []
+        # A timeout far below the heartbeat interval: every leased
+        # worker goes quiet past it at least once.
+        run_sweep(
+            SPEC, cache=cache, jobs=2, telemetry=telemetry,
+            stall_timeout=0.001,
+            on_stall=lambda *stall: stalls.append(stall),
+            backend_options=dict(FAST),
+        )
+        events = [r for r in recorder.records if r["type"] == "worker_stall"]
+        assert stalls and len(events) == len(stalls)
+        assert telemetry.metrics.get("sweep.worker.stalls").value == len(
+            stalls
+        )
+        for event, (worker_id, cell_index, quiet) in zip(events, stalls):
+            assert event["worker_id"] == worker_id
+            assert worker_id in (1, 2)
+            assert event["cell_index"] == cell_index
+            assert event["pid"] is not None
+            assert quiet > 0.001

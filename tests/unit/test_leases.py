@@ -156,6 +156,39 @@ class TestLeaseSupervisor:
             supervisor(max_retries=-1)
 
 
+class TestStalledLeases:
+    """Stalls are read off the leases: quiet past a report-only timeout,
+    once per quiet spell, re-armed by the next renewal."""
+
+    def test_quiet_holder_stalls_once(self):
+        sup = supervisor(lease_timeout=10.0)
+        sup.grant(1, worker=1, now=0.0)
+        assert sup.stalled_leases(now=0.5, timeout=1.0) == []
+        stalled = sup.stalled_leases(now=2.0, timeout=1.0)
+        assert [(lease.worker, lease.cell_index) for lease in stalled] == [
+            (1, 1)
+        ]
+        assert 2.0 - stalled[0].heard_at == 2.0
+        # Still quiet: not re-reported until it is heard from.
+        assert sup.stalled_leases(now=3.0, timeout=1.0) == []
+
+    def test_unleased_worker_never_stalls(self):
+        sup = supervisor()
+        sup.grant(0, worker=1, now=0.0)
+        sup.complete(0)  # worker 1 is idle: no lease left to go quiet
+        assert sup.stalled_leases(now=10.0, timeout=1.0) == []
+
+    def test_renewal_rearms(self):
+        sup = supervisor(lease_timeout=10.0)
+        sup.grant(0, worker=1, now=0.0)
+        assert sup.stalled_leases(now=2.0, timeout=1.0)
+        sup.heartbeat(1, now=2.1)
+        assert sup.stalled_leases(now=2.5, timeout=1.0) == []
+        stalled = sup.stalled_leases(now=4.0, timeout=1.0)
+        assert [lease.cell_index for lease in stalled] == [0]
+        assert 4.0 - stalled[0].heard_at == pytest.approx(1.9)
+
+
 class TestChaosPlan:
     def test_parse_combined_spec(self):
         plan = ChaosPlan.parse("kill-workers:0.2,fail-cells:1", seed=7)

@@ -1,44 +1,33 @@
-"""Tests for the cross-process telemetry relay and the flight recorder.
+"""Tests for sweep-worker telemetry and the flight recorder.
 
 Covers the wire format (metric deltas and merging), the worker-side
-client's never-block/drop-count contract under a deliberately tiny
-queue, the stall detector against a fake clock, Chrome trace export and
-validation, and the headline parity guarantee: a telemetered ``jobs=4``
-sweep yields the same grid bytes and the same per-cell span *set* as
-``jobs=1``.
+writer (whitelist, stamping, handing over records with the metric
+delta), the parent-side merge, Chrome trace export and validation, and
+the headline parity guarantee: a telemetered ``jobs=4`` sweep yields the
+same grid bytes and the same per-cell span *set* as ``jobs=1``.  Stall
+reporting off the dispatcher's leases is covered in ``test_leases.py``
+and ``test_dispatch.py``.
 """
 
 import json
-import multiprocessing
-import queue as queue_module
+import os
 
 import pytest
 
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
-    StallDetector,
     Telemetry,
     to_chrome_trace,
     validate_chrome_trace,
 )
 from repro.telemetry.relay import (
-    RelayClient,
-    RelayWriter,
-    TelemetryRelay,
-    init_worker_telemetry,
+    WorkerWriter,
     merge_wire,
+    merge_worker_telemetry,
     registry_wire_delta,
+    worker_hub,
 )
-
-
-def _context():
-    method = (
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    return multiprocessing.get_context(method)
 
 
 class TestWireFormat:
@@ -92,218 +81,89 @@ class TestWireFormat:
         assert parent.get("sweep.cells", {"kind": "fast"}).value == 2
 
 
-class TestRelayClient:
-    def test_batches_until_max_batch(self):
-        channel = queue_module.Queue()
-        client = RelayClient(channel, worker_id=1, max_batch=3)
-        client.emit_record({"type": "span"})
-        client.emit_record({"type": "span"})
-        assert channel.empty()
-        client.emit_record({"type": "span"})
-        message = channel.get_nowait()
-        assert message["kind"] == "events"
-        assert len(message["events"]) == 3
-        assert message["worker_id"] == 1
-
-    def test_full_queue_drops_and_counts_instead_of_blocking(self):
-        channel = queue_module.Queue(maxsize=1)
-        channel.put_nowait({"kind": "occupied"})  # jam the queue
-        client = RelayClient(channel, worker_id=2, max_batch=2)
-        for _ in range(6):
-            client.emit_record({"type": "span"})
-        assert client.dropped_events == 6
-        assert client.dropped_messages == 3
-        assert client.sent_messages == 0
-        # The cumulative drop count rides every later message.
-        channel.get_nowait()  # unjam
-        client.heartbeat()
-        assert channel.get_nowait()["dropped"] == 6
-
-    def test_snapshot_flushes_pending_events_first(self):
-        channel = queue_module.Queue()
-        client = RelayClient(channel, worker_id=1, max_batch=64)
-        registry = MetricsRegistry()
-        registry.counter("tracker.events").inc(4)
-        client.emit_record({"type": "span"})
-        client.ship_snapshot(registry, cell_index=7)
-        first = channel.get_nowait()
-        second = channel.get_nowait()
-        assert first["kind"] == "events"
-        assert second["kind"] == "snapshot"
-        assert second["cell_index"] == 7
-        assert second["metrics"]["tracker.events"]["inc"] == 4
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            RelayClient(queue_module.Queue(), worker_id=1, max_batch=0)
-
-
-class TestRelayWriter:
+class TestWorkerWriter:
     def test_ships_only_whitelisted_types(self):
-        channel = queue_module.Queue()
-        client = RelayClient(channel, worker_id=1, max_batch=1)
-        writer = RelayWriter(client)
+        writer = WorkerWriter(worker_id=1)
         writer.emit("taint", index=1)  # per-mutation noise: filtered
         writer.emit("cpu_batch", n=64)
-        assert channel.empty()
+        assert writer.records == []
         writer.emit("span", name="sweep.cell", duration_us=5.0)
-        message = channel.get_nowait()
-        assert [event["type"] for event in message["events"]] == ["span"]
+        assert [record["type"] for record in writer.records] == ["span"]
 
-    def test_stamps_worker_and_current_cell(self):
-        channel = queue_module.Queue()
-        client = RelayClient(channel, worker_id=4, max_batch=1)
-        client.current_cell = 11
-        writer = RelayWriter(client)
-        writer.emit("span", name="sweep.cell")
-        record = channel.get_nowait()["events"][0]
+    def test_stamps_worker_id_and_time(self):
+        writer = WorkerWriter(worker_id=4)
+        writer.emit("span", name="sweep.cell", cell_index=11)
+        record = writer.records[0]
         assert record["worker_id"] == 4
         assert record["cell_index"] == 11
         assert record["mono"] > 0
 
+    def test_take_hands_over_records_with_the_metric_delta(self):
+        writer = WorkerWriter(worker_id=1)
+        registry = MetricsRegistry()
+        registry.counter("tracker.events").inc(4)
+        writer.emit("span", name="sweep.cell")
+        payload = writer.take(registry)
+        assert [record["type"] for record in payload["events"]] == ["span"]
+        assert payload["metrics"]["tracker.events"]["inc"] == 4
+        # The next take carries only what happened since.
+        registry.counter("tracker.events").inc(1)
+        payload = writer.take(registry)
+        assert payload["events"] == []
+        assert payload["metrics"]["tracker.events"]["inc"] == 1
 
-class TestStallDetector:
-    def test_quiet_worker_with_active_cell_stalls_once(self):
-        detector = StallDetector(timeout=1.0)
-        detector.note(1, now=0.0, cell_index=5)
-        assert detector.check(now=0.5) == []
-        assert detector.check(now=2.0) == [(1, 5, 2.0)]
-        # Still quiet: not re-reported until it recovers.
-        assert detector.check(now=3.0) == []
-
-    def test_idle_worker_never_stalls(self):
-        detector = StallDetector(timeout=1.0)
-        detector.note(1, now=0.0, cell_index=None)
-        assert detector.check(now=10.0) == []
-
-    def test_recovery_rearms(self):
-        detector = StallDetector(timeout=1.0)
-        detector.note(1, now=0.0, cell_index=5)
-        assert detector.check(now=2.0)
-        assert detector.note(1, now=2.1, cell_index=6) is True  # recovered
-        assert detector.check(now=2.5) == []
-        assert detector.check(now=4.0) == [(1, 6, pytest.approx(1.9))]
-
-    def test_rejects_bad_timeout(self):
-        with pytest.raises(ValueError):
-            StallDetector(timeout=0)
+    def test_worker_hub_starts_with_its_worker_start(self):
+        hub = worker_hub(3)
+        with hub.span("sweep.cell", cell_index=0):
+            pass
+        payload = hub.writer.take(hub.metrics)
+        start, span = payload["events"]
+        assert start["type"] == "worker_start"
+        assert start["pid"] == os.getpid()
+        assert start["worker_id"] == span["worker_id"] == 3
+        assert span["name"] == "sweep.cell" and span["cell_index"] == 0
+        assert payload["metrics"]["span.sweep.cell"]["count"] == 1
 
 
-class TestTelemetryRelayHandle:
-    """Parent-side message handling, driven directly (no drain thread)."""
+class TestMergeWorkerTelemetry:
+    """Parent-side merging of one completed cell's worker payload."""
 
-    def _relay(self, **kwargs):
+    def _hub(self):
         recorder = FlightRecorder()
-        telemetry = Telemetry(writer=recorder)
-        relay = TelemetryRelay(telemetry, _context(), **kwargs)
-        return relay, telemetry, recorder
+        return Telemetry(writer=recorder), recorder
 
     def test_events_re_emit_into_parent_hub(self):
-        relay, _, recorder = self._relay()
-        relay._handle(
-            {
-                "kind": "events",
-                "worker_id": 2,
-                "pid": 4242,
-                "dropped": 0,
+        telemetry, recorder = self._hub()
+        merged = merge_worker_telemetry(
+            telemetry, worker_id=2, pid=4242,
+            payload={
                 "events": [
                     {"type": "span", "name": "sweep.cell", "worker_id": 2,
                      "cell_index": 3, "mono": 1.0, "duration_us": 9.0},
                 ],
-            }
+                "metrics": {},
+            },
         )
-        assert relay.events_merged == 1
+        assert merged == 1
         record = recorder.records[-1]
         assert record["type"] == "span"
         assert record["cell_index"] == 3
         assert record["pid"] == 4242
+        assert record["mono"] == 1.0  # the worker's stamp is kept
 
-    def test_snapshot_merges_metrics(self):
-        relay, telemetry, _ = self._relay()
+    def test_metric_delta_merges(self):
+        telemetry, _ = self._hub()
         worker = MetricsRegistry()
         worker.counter("tracker.events").inc(8)
-        relay._handle(
-            {
-                "kind": "snapshot", "worker_id": 1, "pid": 1, "dropped": 0,
-                "cell_index": 0,
-                "metrics": registry_wire_delta(worker, {}),
-            }
+        worker.gauge("tracker.tainted_bytes").set(64)
+        merge_worker_telemetry(
+            telemetry, worker_id=1, pid=1,
+            payload={"events": [], "metrics": registry_wire_delta(worker, {})},
         )
         assert telemetry.metrics.get("tracker.events").value == 8
-
-    def test_stop_publishes_relay_accounting(self):
-        relay, telemetry, recorder = self._relay()
-        relay._handle(
-            {"kind": "heartbeat", "worker_id": 1, "pid": 10, "dropped": 4,
-             "cell_index": None, "mono": 0.0}
-        )
-        relay.stop()
-        metrics = telemetry.metrics
-        assert metrics.get("sweep.relay.heartbeats").value == 1
-        assert metrics.get("sweep.relay.dropped_events").value == 4
-        summary = [r for r in recorder.records
-                   if r["type"] == "relay_summary"][-1]
-        assert summary["dropped_events"] == 4
-        assert summary["workers"] == 1
-
-    def test_on_heartbeat_hook_receives_the_pid(self):
-        """The dispatcher renews leases off relay heartbeats."""
-        beats = []
-        relay, _, _ = self._relay(on_heartbeat=beats.append)
-        relay._handle(
-            {"kind": "heartbeat", "worker_id": 1, "pid": 777,
-             "dropped": 0, "cell_index": 2, "mono": 0.0}
-        )
-        relay._handle(
-            {"kind": "events", "worker_id": 1, "pid": 777, "dropped": 0,
-             "events": []}
-        )
-        assert beats == [777]  # only heartbeats renew, not event batches
-
-    def test_stall_counter_is_sweep_worker_stalls(self):
-        import time
-
-        relay, telemetry, _ = self._relay(stall_timeout=0.001)
-        relay._handle(
-            {"kind": "heartbeat", "worker_id": 1, "pid": 10,
-             "dropped": 0, "cell_index": 3, "mono": 0.0}
-        )
-        time.sleep(0.01)
-        relay._check_stalls()
-        assert telemetry.metrics.get("sweep.worker.stalls").value == 1
-
-    def test_dropped_counts_keep_high_water_per_worker(self):
-        relay, _, _ = self._relay()
-        for dropped in (5, 3):  # late message with a stale lower count
-            relay._handle(
-                {"kind": "heartbeat", "worker_id": 1, "pid": 1,
-                 "dropped": dropped, "cell_index": None, "mono": 0.0}
-            )
-        assert relay.dropped == {1: 5}
-
-
-class TestWorkerBootstrap:
-    def test_worker_ids_are_sequential_and_hub_ships_spans(self):
-        relay = TelemetryRelay(
-            Telemetry(writer=FlightRecorder()), _context(),
-            heartbeat_interval=0,  # no daemon thread in-process
-        )
-        payload = relay.worker_payload()
-        first = init_worker_telemetry(payload)
-        second = init_worker_telemetry(payload)
-        assert first.relay_client.worker_id == 1
-        assert second.relay_client.worker_id == 2
-        with first.span("sweep.cell", cell_index=0):
-            pass
-        first.writer.flush()
-        kinds = []
-        for _ in range(4):
-            try:
-                kinds.append(relay.queue.get(timeout=2.0)["kind"])
-            except queue_module.Empty:
-                break
-        assert "events" in kinds  # worker_start + the span shipped
-        assert "heartbeat" in kinds
+        assert telemetry.metrics.get(
+            "tracker.tainted_bytes", {"worker_id": "1"}
+        ).value == 64
 
 
 class TestTraceFormat:
@@ -472,7 +332,6 @@ class TestRunReport:
         for worker in report["per_worker"].values():
             assert 0 < worker["utilization"] <= 1.0
         assert report["telemetry"]["cell_spans"] == 2
-        assert report["telemetry"]["dropped_events"] == 0
 
         text = render_run_report(report)
         assert "run run-0" in text

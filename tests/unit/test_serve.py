@@ -465,10 +465,19 @@ class TestAdminVerbs:
 
         asyncio.run(scenario())
 
-    def test_malformed_fifo_row_in_restore_is_one_error(self, tmp_path):
-        """A snapshot whose FIFO row fails the decoders' checks costs the
-        ``restore`` op one error frame; the connection and the intact
-        snapshot still restore."""
+    @pytest.mark.parametrize("corrupt, error", [
+        (lambda snapshot: snapshot["buffered"]["queue"].append(
+            ["load", 16, 19.5, 1, 0]), "snapshot queue"),
+        (lambda snapshot: next(iter(
+            snapshot["buffered"]["tracker"]["windows"].values()
+        )).update(propagations=None), "propagations"),
+    ], ids=["fifo-row", "null-window"])
+    def test_malformed_fifo_row_in_restore_is_one_error(
+        self, tmp_path, corrupt, error
+    ):
+        """A snapshot whose FIFO row fails the decoders' checks, or whose
+        tracker window is malformed, costs the ``restore`` op one error
+        frame; the connection and the intact snapshot still restore."""
         async def scenario():
             async with Daemon(tmp_path) as daemon:
                 client = await DeviceClient.connect(
@@ -478,8 +487,8 @@ class TestAdminVerbs:
                 admin = await AdminClient.connect(unix_path=daemon.path)
                 snapshot = await admin.drain("dev-a", 0)
                 bad = json.loads(json.dumps(snapshot))
-                bad["buffered"]["queue"].append(["load", 16, 19.5, 1, 0])
-                with pytest.raises(ServeClientError, match="snapshot queue"):
+                corrupt(bad)
+                with pytest.raises(ServeClientError, match=error):
                     await admin.restore(bad)
                 await admin.restore(snapshot)
                 await admin.close()

@@ -252,6 +252,79 @@ class TestShardSnapshotValidation:
         assert heir.buffered.snapshot() == before
         assert heir.restores == 0
 
+    @pytest.mark.parametrize("coloured, field, value", [
+        pytest.param(False, ("window", "propagations"), None,
+                     id="window-propagations-null"),  # used to TypeError
+        pytest.param(False, ("window", "propagations"), 1.7,
+                     id="window-propagations-float"),  # used to restore 1
+        pytest.param(False, ("window", "last_tainted_load"), 2.5,
+                     id="window-last-load-float"),
+        pytest.param(False, ("config", "untainting"), 1,
+                     id="config-untainting-int"),
+        pytest.param(False, ("config", "window_size"), 5.0,
+                     id="config-window-float"),
+        pytest.param(False, ("stats", "loads_observed"), 2.5,
+                     id="tracker-stats-float"),
+        pytest.param(False, ("state", "starts", "ends"), ([20, 0], [30, 10]),
+                     id="ranges-unsorted"),
+        pytest.param(False, ("state", "starts", "ends"), ([0, 5], [10, 20]),
+                     id="ranges-overlapping"),
+        pytest.param(False, ("state", "starts", "ends"), ([0.5], [10]),
+                     id="ranges-float"),
+        pytest.param(False, ("state", "starts", "ends"), ([10], [0]),
+                     id="ranges-end-before-start"),
+        pytest.param(False, ("buffer", "stats"), {"drains": 1.5},
+                     id="buffer-stats-float"),
+        pytest.param(False, ("buffer", "enqueue_seq"), 1.5,
+                     id="enqueue-seq-float"),
+        pytest.param(False, ("buffer", "retired_seq"), "3",
+                     id="retired-seq-string"),
+        pytest.param(False, ("buffer", "backpressure"), 1,
+                     id="backpressure-int"),
+        pytest.param(False, ("shard", "counters"), {"events_ingested": 1.5},
+                     id="shard-counter-float"),
+        pytest.param(False, ("shard", "pid"), 0.0, id="shard-pid-float"),
+        pytest.param(True, ("window", "colour_mask"), 1 << 64,
+                     id="window-mask-beyond-uint64"),
+        pytest.param(True, ("state", "masks"), [0], id="range-mask-zero"),
+        pytest.param(True, ("tracker", "colours"), {"names": [3]},
+                     id="colour-name-int"),
+    ])
+    def test_malformed_snapshot_leaves_heir_unchanged(
+        self, coloured, field, value
+    ):
+        """Every tracker, range-set, buffer and shard field is checked
+        (exact ints inside int64, bools, sorted disjoint range rows,
+        uint64 masks) before anything is replaced: a malformed field
+        raises ``ValueError`` and the heir's snapshot is unchanged."""
+        donor = self.make_shard(coloured=coloured)
+        donor.register_source(SRC, colour="imei" if coloured else None)
+        donor.ingest(EventColumns.from_events(leaky_events(rounds=2)))
+        donor.buffered.drain_all()
+        snapshot = json.loads(json.dumps(donor.snapshot()))
+        tracker = snapshot["buffered"]["tracker"]
+        section = {
+            "window": tracker["windows"]["0"],
+            "config": tracker["config"],
+            "stats": tracker["stats"],
+            "state": tracker["states"]["0"],
+            "tracker": tracker,
+            "buffer": snapshot["buffered"],
+            "shard": snapshot,
+        }[field[0]]
+        if len(field) == 3:  # a range set's starts and ends together
+            section[field[1]], section[field[2]] = value
+        elif isinstance(value, dict) and field[1] != "colours":
+            section[field[1]].update(value)
+        else:
+            section[field[1]] = value
+        heir = self.make_shard(coloured=coloured)
+        heir.register_source(CLEAN, colour="gps" if coloured else None)
+        before = heir.snapshot()
+        with pytest.raises(ValueError):
+            heir.restore(snapshot)
+        assert heir.snapshot() == before
+
     def test_rejects_wrong_version(self):
         snapshot = self.make_shard().snapshot()
         snapshot["version"] = 99
