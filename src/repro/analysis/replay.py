@@ -23,7 +23,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PIFTConfig
 from repro.core.ranges import RangeSet
-from repro.core.tracker import ColourTracker, PIFTTracker, StateFactory, TrackerStats
+from repro.core.tracker import (
+    ColourTracker,
+    DecisionBox,
+    PIFTTracker,
+    StateFactory,
+    TrackerStats,
+)
 from repro.android.device import RecordedRun
 
 
@@ -50,6 +56,10 @@ class ReplayResult:
     config: PIFTConfig
     stats: TrackerStats
     sink_outcomes: List[SinkOutcome] = field(default_factory=list)
+    #: The ``(NI, NT)`` configs under which this replay's sink outcomes
+    #: and stats repeat exactly (:meth:`PIFTTracker.decision_box`);
+    #: ``None`` for a faulted replay, whose outcome depends on its draws.
+    box: Optional[DecisionBox] = None
 
     @property
     def alarm(self) -> bool:
@@ -240,7 +250,8 @@ def replay(
     Source registrations and sink checks interleave with the memory-event
     stream at the instruction indices (and PIDs) they originally occurred
     at; the event segments between them run through the batched column
-    path.
+    path.  The result's ``box`` names every ``(NI, NT)`` under which the
+    same run replays to the same outcomes and stats.
     """
     tracker = PIFTTracker(
         config,
@@ -258,7 +269,7 @@ def replay(
         ),
     )
     return ReplayResult(config=config, stats=tracker.stats,
-                        sink_outcomes=outcomes)
+                        sink_outcomes=outcomes, box=tracker.decision_box())
 
 
 def source_colour(source) -> str:
@@ -300,4 +311,4 @@ def replay_coloured(
 
     outcomes = _replay_segments(tracker, recorded, plan, register, verdict)
     return ReplayResult(config=config, stats=tracker.stats,
-                        sink_outcomes=outcomes)
+                        sink_outcomes=outcomes, box=tracker.decision_box())

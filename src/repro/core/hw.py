@@ -133,7 +133,7 @@ class PIFTHardwareModule:
                 config = replace(self._tracker.config, **changes)
             except ValueError:
                 return CommandResponse(ok=False)
-            self._tracker.config = config
+            self._tracker.reconfigure(config)
             return CommandResponse(ok=True)
         return CommandResponse(ok=False)
 

@@ -31,7 +31,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.events import checked_int64
 from repro.core.ranges import AddressRange, RangeSet
+from repro.core.tracker import snapshot_section
 
 #: Bytes per range entry when each entry is tagged with a PID (§3.3).
 ENTRY_BYTES_WITH_PID = 12
@@ -244,26 +246,64 @@ class BoundedRangeCache:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Restore a :meth:`snapshot` exactly (geometry must match)."""
+        """Restore a :meth:`snapshot` exactly (geometry must match).
+
+        Everything is checked before anything is replaced, as
+        :meth:`RangeSet.restore <repro.core.ranges.RangeSet.restore>`
+        does: the geometry, both range sets' rows
+        (:func:`~repro.core.ranges.checked_rows`), every LRU entry as an
+        exact-int64 ``[start, end, clock]`` triple, ``clock`` as an exact
+        int64, and ``stats`` as exact int64 values under
+        :class:`StorageStats` field names only.  A malformed snapshot
+        raises :class:`ValueError` and leaves the cache as it was.
+        """
         if (
-            int(snapshot["capacity_entries"]) != self.capacity_entries
+            checked_int64(snapshot["capacity_entries"],
+                          "snapshot capacity_entries") != self.capacity_entries
             or snapshot["policy"] != self.policy.value
-            or int(snapshot["granularity_bits"]) != self.granularity_bits
+            or checked_int64(snapshot["granularity_bits"],
+                             "snapshot granularity_bits")
+            != self.granularity_bits
         ):
             raise ValueError(
                 "snapshot geometry (capacity/policy/granularity) does not "
                 "match this storage instance"
             )
-        self._cache.restore(snapshot["cache"])
-        self._secondary.restore(snapshot["secondary"])
-        self._lru = {
-            (int(start), int(end)): int(clock)
-            for start, end, clock in snapshot["lru"]
+        cache, secondary = RangeSet(), RangeSet()
+        cache.restore(snapshot_section(snapshot["cache"], "cache"))
+        secondary.restore(snapshot_section(snapshot["secondary"], "secondary"))
+        rows = snapshot["lru"]
+        if type(rows) is not list:
+            raise ValueError(f"snapshot lru must be a list, got {rows!r}")
+        lru = {}
+        for row in rows:
+            if type(row) is not list or len(row) != 3:
+                raise ValueError(
+                    "snapshot lru entry must be [start, end, clock], "
+                    f"got {row!r}"
+                )
+            start, end, clock = (
+                checked_int64(value, "snapshot lru entry") for value in row
+            )
+            lru[(start, end)] = clock
+        clock = checked_int64(snapshot["clock"], "snapshot clock")
+        counts = snapshot_section(snapshot["stats"], "stats")
+        unknown = set(counts) - {
+            f.name for f in dataclasses.fields(StorageStats)
         }
-        self._clock = int(snapshot["clock"])
-        self.stats = StorageStats(**{
-            key: int(value) for key, value in snapshot["stats"].items()
+        if unknown:
+            raise ValueError(
+                f"snapshot stats has unknown keys {sorted(unknown)}"
+            )
+        stats = StorageStats(**{
+            key: checked_int64(value, f"snapshot stats {key}")
+            for key, value in counts.items()
         })
+        self._cache = cache
+        self._secondary = secondary
+        self._lru = lru
+        self._clock = clock
+        self.stats = stats
 
     # -- internals --------------------------------------------------------
 

@@ -210,6 +210,31 @@ class TrackerStats:
         }
 
 
+@dataclass(frozen=True)
+class DecisionBox:
+    """The ``(NI, NT)`` configs under which a run decides every store the
+    same way (:meth:`PIFTTracker.decision_box`).
+
+    ``ni_min <= NI <= ni_max`` and ``nt_min <= NT <= nt_max``, with
+    ``nt_max`` ``None`` for no upper bound.  Inside the box every sink
+    outcome and :class:`TrackerStats` counter repeats, so a sweep may
+    answer any cell inside it from one replay.
+    """
+
+    ni_min: int
+    ni_max: int
+    nt_min: int
+    nt_max: Optional[int]
+
+    def contains(self, config: PIFTConfig) -> bool:
+        ni, nt = config.window_size, config.max_propagations
+        return (
+            self.ni_min <= ni <= self.ni_max
+            and self.nt_min <= nt
+            and (self.nt_max is None or nt <= self.nt_max)
+        )
+
+
 @dataclass
 class _WindowState:
     """Per-process Algorithm-1 state: LTLT and the propagation counter."""
@@ -360,6 +385,11 @@ class PIFTTracker:
         self._states: Dict[int, TaintStateLike] = {}
         self._windows: Dict[int, _WindowState] = {}
         self.stats = TrackerStats()
+        # What the store decisions so far read of NI and NT: the widest
+        # distance k - LTLT of any tainted store, and the most stores one
+        # window tainted (see :meth:`decision_box`).
+        self._widest_reach = 0
+        self._most_taints = 0
         self._record_timeline = record_timeline
         self._instruments: Optional[_TrackerInstruments] = None
         if telemetry is not None and telemetry.enabled:
@@ -398,8 +428,37 @@ class PIFTTracker:
         self._states.clear()
         self._windows.clear()
         self.stats = TrackerStats()
+        self._widest_reach = 0
+        self._most_taints = 0
         if self._instruments is not None:
             self._instruments.rebase(self.stats)
+
+    def decision_box(self) -> DecisionBox:
+        """The ``(NI, NT)`` box every store decision so far holds over.
+
+        With A the widest distance ``k - LTLT`` of any tainted store and
+        B the most stores one window tainted, the box is
+        ``max(A, 1) <= NI' <= NI`` and ``max(B, 1) <= NT' <= NT`` when
+        B reached ``NT``, else ``NT'`` unbounded above.  Under any config
+        inside it, Algorithm 1 makes every store decision this run made:
+        a tainted store lies within ``A <= NI'`` of its window's load
+        and is at most the B-th taint of its window, so ``NT' >= B``
+        admits it; an untainted store either lay beyond ``NI >= NI'``,
+        or was capped, which means a window tainted ``NT`` stores, so
+        ``B = NT`` and ``NT' <= NT`` caps it too.  Loads, sources,
+        checks and untaints never read NI or NT, so the taint states,
+        sink outcomes and :class:`TrackerStats` all repeat.
+
+        A restored or reconfigured tracker cannot see the decisions
+        made before, so it reports its own config only.
+        """
+        ni, nt = self.config.window_size, self.config.max_propagations
+        return DecisionBox(
+            ni_min=max(self._widest_reach, 1),
+            ni_max=ni,
+            nt_min=max(self._most_taints, 1),
+            nt_max=nt if self._most_taints >= nt else None,
+        )
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -477,12 +536,23 @@ class PIFTTracker:
             ).items()
         }
         stats = TrackerStats.from_dict(snapshot["stats"])
-        self.config = restored_config
+        self.reconfigure(restored_config)
         self._states = states
         self._windows = windows
         self.stats = stats
         if self._instruments is not None:
             self._instruments.rebase(self.stats)
+
+    def reconfigure(self, config: PIFTConfig) -> None:
+        """Run on under ``config`` from here on (the CONFIGURE command).
+
+        The decisions made so far say nothing about other configs, so
+        from now on :meth:`decision_box` reports ``config`` only, as
+        after a :meth:`restore`.
+        """
+        self.config = config
+        self._widest_reach = config.window_size
+        self._most_taints = config.max_propagations
 
     def _restored_window(self, payload: dict) -> _WindowState:
         """One snapshot ``windows`` entry as window state, checked."""
@@ -557,6 +627,10 @@ class PIFTTracker:
             if in_window and window.propagations < self.config.max_propagations:
                 state.add_span(start, end, window.colour_mask)
                 window.propagations += 1
+                if k - window.last_tainted_load > self._widest_reach:
+                    self._widest_reach = k - window.last_tainted_load
+                if window.propagations > self._most_taints:
+                    self._most_taints = window.propagations
                 self.stats.taint_operations += 1
                 self._after_mutation(event.pid, k)
             elif self.config.untainting:
@@ -668,6 +742,8 @@ class PIFTTracker:
         instructions = stats.instructions_observed
         max_tainted = stats.max_tainted_bytes
         max_ranges = stats.max_range_count
+        widest_reach = self._widest_reach
+        most_taints = self._most_taints
         current_pid: Optional[int] = None
         window: _WindowState = None  # type: ignore[assignment]
         mask_overlapping = overlaps = add = remove = None
@@ -707,6 +783,10 @@ class PIFTTracker:
                 ):
                     add(starts[i], ends[i], window.colour_mask)
                     window.propagations += 1
+                    if k - last > widest_reach:
+                        widest_reach = k - last
+                    if window.propagations > most_taints:
+                        most_taints = window.propagations
                     taints += 1
                 elif untainting and overlaps(starts[i], ends[i]):
                     remove(starts[i], ends[i])
@@ -737,6 +817,8 @@ class PIFTTracker:
             stats.instructions_observed = instructions
             stats.max_tainted_bytes = max_tainted
             stats.max_range_count = max_ranges
+            self._widest_reach = widest_reach
+            self._most_taints = most_taints
 
     # -- bookkeeping -----------------------------------------------------
 

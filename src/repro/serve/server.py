@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Tuple
 
+from repro.core.events import checked_int64
 from repro.serve import protocol
 from repro.serve.router import ShardRouter
 from repro.serve.shard import ShardError
@@ -40,6 +41,15 @@ _ADMIN_OPS = frozenset(
 #: column-encoded events is far below this, but the default 64 KiB is
 #: not, and a snapshot-carrying ``restore`` frame can be larger still.
 READER_LIMIT = 16 * 1024 * 1024
+
+
+def _frame_worker(frame: dict, default: Optional[int]) -> Optional[int]:
+    """An admin frame's ``worker`` (``default`` when absent), held to the
+    pid rule: an ``int`` in int64, never a ``bool``."""
+    worker = frame.get("worker")
+    if worker is None:
+        return default
+    return checked_int64(worker, "frame worker", protocol.ProtocolError)
 
 
 class PIFTServer:
@@ -179,7 +189,9 @@ class PIFTServer:
     # -- device ops ------------------------------------------------------
 
     async def _op_hello(self, frame: dict, writer) -> str:
-        version = int(frame.get("version", -1))
+        version = checked_int64(
+            frame.get("version", -1), "hello version", protocol.ProtocolError
+        )
         if version != protocol.PROTOCOL_VERSION:
             raise protocol.ProtocolError(
                 f"protocol version {version} unsupported "
@@ -188,7 +200,11 @@ class PIFTServer:
         device = str(frame.get("device", ""))
         if not device:
             raise protocol.ProtocolError("hello without a device name")
-        wants_colours = bool(frame.get("colours", False))
+        wants_colours = frame.get("colours", False)
+        if type(wants_colours) is not bool:
+            raise protocol.ProtocolError(
+                f"hello colours must be a bool, got {wants_colours!r}"
+            )
         if wants_colours != self.router.coloured:
             raise protocol.ProtocolError(
                 "colour-mode mismatch: device wants "
@@ -291,32 +307,30 @@ class PIFTServer:
             })
         elif op == "drain":
             snapshot = router.drain_shard(
-                str(frame.get("device", "")), int(frame.get("pid", 0))
+                str(frame.get("device", "")), protocol.frame_pid(frame)
             )
             await self._send(
                 writer, {"op": "drained", "snapshot": snapshot}
             )
         elif op == "restore":
-            worker = frame.get("worker")
             placed = router.restore_shard(
                 frame.get("snapshot") or {},
-                worker_id=None if worker is None else int(worker),
+                worker_id=_frame_worker(frame, None),
             )
             await self._send(writer, {"op": "restored", "worker": placed})
         elif op == "migrate":
             device = str(frame.get("device", ""))
-            pid = int(frame.get("pid", 0))
-            worker = frame.get("worker")
+            pid = protocol.frame_pid(frame)
+            worker = _frame_worker(frame, None)
             snapshot = router.drain_shard(device, pid)
-            placed = router.restore_shard(
-                snapshot, worker_id=None if worker is None else int(worker)
-            )
+            placed = router.restore_shard(snapshot, worker_id=worker)
             await self._send(writer, {"op": "migrated", "worker": placed})
         elif op == "stop_worker":
-            migrated = await router.stop_worker(int(frame.get("worker", -1)))
+            worker = _frame_worker(frame, -1)
+            migrated = await router.stop_worker(worker)
             await self._send(writer, {
                 "op": "worker_stopped",
-                "worker": int(frame.get("worker", -1)),
+                "worker": worker,
                 "migrated": [[device, pid] for device, pid in migrated],
             })
         elif op == "shutdown":

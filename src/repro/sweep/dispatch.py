@@ -82,18 +82,21 @@ def _queue_worker_main(
     The worker rebuilds the trace cache once, from ``cache_payload``, and
     with ``telemetered`` its own hub (:func:`~repro.telemetry.relay
     .worker_hub`); what the hub gathered since the previous result rides
-    the next ``result``.  All sends share one lock (the heartbeat thread
-    and the main thread write the same pipe); a vanished parent turns
-    sends into no-ops and the next ``recv`` ends the loop.
+    the next ``result``.  Its cells share one
+    :class:`~repro.sweep.engine.ReplayTable`.  All sends share one lock
+    (the heartbeat thread and the main thread write the same pipe); a
+    vanished parent turns sends into no-ops and the next ``recv`` ends
+    the loop.
     """
     from repro.sweep.cache import TraceCache
-    from repro.sweep.engine import run_cell
+    from repro.sweep.engine import ReplayTable, run_cell
 
     telemetry = worker_hub(worker_id) if telemetered else None
     cache = TraceCache.from_payload(cache_payload, telemetry=telemetry)
+    replays = ReplayTable()
 
     def evaluate(cell):
-        result = run_cell(cell, cache, telemetry=telemetry)
+        result = run_cell(cell, cache, telemetry=telemetry, replays=replays)
         if telemetry is None:
             return result, None
         return result, telemetry.writer.take(telemetry.metrics)

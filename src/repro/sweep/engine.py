@@ -14,11 +14,13 @@ draw.
 
 Worker-side evaluation mirrors :func:`repro.analysis.degradation
 .degradation_curve`'s per-point logic exactly (the rewired analysis entry
-points delegate here), with one fast path: a cell whose fault plan cannot
-fire replays through the batched
+points delegate here), with two fast paths: a cell whose fault plan
+cannot fire replays through the batched
 :func:`~repro.analysis.replay.replay` instead of the per-event injector
 loop — parity between the two is covered by
-``tests/unit/test_faults.py`` and ``tests/property/test_batch_parity.py``.
+``tests/unit/test_faults.py`` and ``tests/property/test_batch_parity.py``
+— and such a replay is skipped altogether when a :class:`ReplayTable`
+already holds one whose decision box covers the cell's ``(NI, NT)``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.config import PIFTConfig
 from repro.core.faults import FaultPlan, FaultRates, FaultStats
@@ -66,6 +68,11 @@ class CellResult:
     operations: int = 0
     duration_seconds: float = 0.0
     worker: int = 0
+    #: Replays this cell took from its sweep's :class:`ReplayTable`
+    #: instead of running.  Timing bookkeeping, like
+    #: ``duration_seconds``: it depends on which cells the same worker
+    #: evaluated first, never on the cell's payload.
+    replays_reused: int = 0
 
     @property
     def accuracy(self) -> Optional[float]:
@@ -159,6 +166,7 @@ class SweepResult:
             "cells": len(self.cells),
             "resumed": self.resumed,
             "events_tracked": sum(c.events_tracked for c in self.cells),
+            "replays_reused": sum(c.replays_reused for c in self.cells),
             "workers": per_worker,
             "retries": self.retries,
             "worker_deaths": self.worker_deaths,
@@ -167,10 +175,49 @@ class SweepResult:
         }
 
 
+class ReplayTable:
+    """One sweep's fault-free replays, each with the ``(NI, NT)`` box its
+    store decisions hold over (:meth:`~repro.core.tracker.PIFTTracker
+    .decision_box`).
+
+    Rows are keyed by the recorded run, the config's other fields
+    (``untainting``, ``vectorized``) and the ``state_spec``.  Inside a
+    row's box the replay's sink outcomes and stats repeat exactly, so
+    :meth:`replay` answers any config there from the row instead of
+    replaying.  Every cell answered from a row shares its result
+    object, so callers only read it.  :func:`run_sweep` keeps one table
+    per call: one for the inline loop, one per dispatcher worker.
+    """
+
+    def __init__(self) -> None:
+        # key -> (the recorded run, so its id stays its own; the rows)
+        self._rows: Dict[tuple, Tuple[object, list]] = {}
+
+    def replay(self, recorded, config: PIFTConfig, state_spec: str,
+               state_factory) -> Tuple[object, bool]:
+        """``(ReplayResult, reused)`` for ``recorded`` under ``config``."""
+        from repro.analysis.replay import replay
+
+        key = (id(recorded), config.untainting, config.vectorized, state_spec)
+        held = self._rows.setdefault(key, (recorded, []))
+        for result in held[1]:
+            if result.box.contains(config):
+                return result, True
+        result = replay(recorded, config, state_factory=state_factory)
+        held[1].append(result)
+        return result, False
+
+
 def run_cell(
-    cell: SweepCell, cache: TraceCache, telemetry=None
+    cell: SweepCell, cache: TraceCache, telemetry=None,
+    replays: Optional[ReplayTable] = None,
 ) -> CellResult:
     """Evaluate one cell against the cached recordings (pure, per-seed).
+
+    A fault-free replay comes from ``replays`` (a fresh table when
+    ``None``) when a row's box covers the cell; faulted replays and the
+    colour attribution pass always run.  Either way the cell's
+    :meth:`CellResult.as_dict` is the same.
 
     ``telemetry`` instruments at **cell granularity** only: a
     ``sweep.cell`` span plus tracker counters derived from the replayed
@@ -183,11 +230,12 @@ def run_cell(
 
     from repro.analysis.accuracy import AccuracyReport
     from repro.analysis.degradation import _accumulate, faulted_replay
-    from repro.analysis.replay import replay
     from repro.telemetry.hub import active
 
     tel = active(telemetry)
     started = time.perf_counter()
+    if replays is None:
+        replays = ReplayTable()
     state_factory = resolve_state_factory(cell.state_spec)
     plan = FaultPlan(
         seed=cell.seed, rates=cell.base_rates or FaultRates()
@@ -207,7 +255,10 @@ def run_cell(
                 recorded, cell.config, plan, state_factory=state_factory
             )
         else:
-            replayed = replay(recorded, cell.config, state_factory=state_factory)
+            replayed, reused = replays.replay(
+                recorded, cell.config, cell.state_spec, state_factory
+            )
+            result.replays_reused += reused
             stats = None
         result.events_tracked += (
             replayed.stats.loads_observed + replayed.stats.stores_observed
@@ -483,8 +534,9 @@ def run_sweep(
         )
         stats = backend.run(pending, cache.payload(), note)
     else:
+        replays = ReplayTable()
         for cell in pending:
-            note(run_cell(cell, cache, telemetry=telemetry))
+            note(run_cell(cell, cache, telemetry=telemetry, replays=replays))
     wall = time.perf_counter() - started
     if instruments is not None:
         instruments.telemetry.event(

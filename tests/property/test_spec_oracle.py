@@ -14,6 +14,10 @@ on multi-PID streams of same-PID bursts whose per-PID indices can
 regress, and compares the seven ``TrackerStats`` counters,
 ``instructions_observed``, the mask at each sink, and the final taint
 state byte for byte.
+
+The oracle also computes the ``(NI, NT)`` box its store decisions hold
+over, which every executor must report (``decision_box``), and a run of
+the oracle anywhere inside that box must repeat the original run.
 """
 
 from hypothesis import given, settings
@@ -44,6 +48,8 @@ class SpecPIFT:
         self.retired = {}  # pid -> highest instruction index + 1
         self.runs = {}     # pid -> ranges (maximal equal-mask byte runs)
         self.stats = dict.fromkeys(COUNTERS, 0)
+        self.reach = 0     # A: widest k - last tainted load of a taint
+        self.most = 0      # B: most stores one window tainted
 
     def mask(self, start, end, pid):
         taint = self.taint.get(pid, {})
@@ -77,6 +83,8 @@ class SpecPIFT:
         if (last is not None and last <= k <= last + self.ni
                 and propagations < self.nt):
             self.window[pid] = (last, propagations + 1, mask)
+            self.reach = max(self.reach, k - last)
+            self.most = max(self.most, propagations + 1)
             for byte in range(start, end + 1):
                 taint[byte] = taint.get(byte, 0) | mask
             stats["taint_operations"] += 1
@@ -87,6 +95,14 @@ class SpecPIFT:
         else:
             return
         self.mutated(pid)
+
+    def box(self):
+        """``(ni_min, ni_max, nt_min, nt_max)`` of the configs that decide
+        every store as this run did: a taint needs NI >= A and NT >= B;
+        a capped store (which makes B = NT) needs NT <= NT; an
+        out-of-window one needs NI <= NI."""
+        return (max(self.reach, 1), self.ni, max(self.most, 1),
+                self.nt if self.most == self.nt else None)
 
     def mutated(self, pid):
         taint, runs, previous = self.taint[pid], 0, None
@@ -170,11 +186,15 @@ def byte_map(tracker, coloured):
     return result
 
 
-def run_tracker(config, coloured, how, stream, source_list, sink_list):
+def new_tracker(config, coloured):
     if coloured:
-        tracker = ColourTracker(config, colours=ColourSpace(COLOURS))
-    else:
-        tracker = PIFTTracker(config)
+        return ColourTracker(config, colours=ColourSpace(COLOURS))
+    return PIFTTracker(config)
+
+
+def run_tracker(config, coloured, how, stream, source_list, sink_list,
+                keep=None):
+    tracker = new_tracker(config, coloured)
     for colour, start, size, pid in source_list:
         extra = {"colour": COLOURS[colour]} if coloured else {}
         tracker.taint_source(
@@ -199,11 +219,15 @@ def run_tracker(config, coloured, how, stream, source_list, sink_list):
             observed.append(int(tracker.check(sink, pid=pid)))
     stats = tracker.stats.as_dict()
     counters = {name: stats[name] for name in COUNTERS}
+    if keep is not None:
+        keep.append(tracker)
     return counters, observed, byte_map(tracker, coloured)
 
 
-def run_spec(config, coloured, stream, source_list, sink_list):
+def run_spec(config, coloured, stream, source_list, sink_list, keep=None):
     spec = SpecPIFT(config)
+    if keep is not None:
+        keep.append(spec)
     for colour, start, size, pid in source_list:
         spec.source(start, start + size - 1, pid,
                     1 << colour if coloured else 1)
@@ -235,3 +259,62 @@ def test_executors_match_the_spec(raw, source_list, sink_list, config,
         assert run_tracker(
             config, coloured, how, stream, source_list, sink_list
         ) == expected, how
+
+
+# -- the decision box ----------------------------------------------------------
+
+#: Bursts repeated until the stream is at least this long, so the forced
+#: kernel classifies whole blocks and the final slice is one long call.
+LONG = 512
+
+long_bursts = st.lists(
+    st.tuples(st.integers(0, 2), st.lists(events, min_size=1, max_size=40)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def as_box(box):
+    return (box.ni_min, box.ni_max, box.nt_min, box.nt_max)
+
+
+@given(long_bursts, sources, sinks, configs, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_decision_box_matches_the_spec(raw, source_list, sink_list, config,
+                                       coloured, data):
+    """Every executor reports the oracle's box; the oracle run anywhere
+    inside it repeats the counters, sink masks and taint bytes; and a
+    restored tracker reports only its own config."""
+    length = sum(len(burst) for _, burst in raw)
+    stream = materialise(raw * -(-LONG // length))
+    # Sinks land at least LONG events before the end: the last slice is
+    # one long observe_columns call.
+    sink_list = sorted(
+        (min(at, len(stream) - LONG), start, size, pid)
+        for at, start, size, pid in sink_list
+    ) + [(len(stream), 0, 200, pid) for pid in range(3)]
+    specs = []
+    expected = run_spec(config, coloured, stream, source_list, sink_list,
+                        keep=specs)
+    box = specs[0].box()
+    for how in ("observe", "scalar", "vectorized"):
+        trackers = []
+        assert run_tracker(config, coloured, how, stream, source_list,
+                           sink_list, keep=trackers) == expected, how
+        reported = as_box(trackers[0].decision_box())
+        assert reported == box, how
+        restored = new_tracker(config, coloured)
+        restored.restore(trackers[0].snapshot())
+        own = (config.window_size, config.window_size,
+               config.max_propagations, config.max_propagations)
+        assert as_box(restored.decision_box()) == own, how
+
+    # Both corners of the box and one point drawn inside it.
+    ni_min, ni_max, nt_min, nt_max = box
+    nt_top = nt_max if nt_max is not None else nt_min + 12
+    drawn = (data.draw(st.integers(ni_min, ni_max), label="ni"),
+             data.draw(st.integers(nt_min, nt_top), label="nt"))
+    for ni, nt in ((ni_min, nt_min), (ni_max, nt_top), drawn):
+        inside = PIFTConfig(ni, nt, config.untainting)
+        assert run_spec(inside, coloured, stream, source_list,
+                        sink_list) == expected, (ni, nt)

@@ -58,6 +58,7 @@ class TestSweepJson:
         timings = payload["timings"]
         assert {
             "jobs", "wall_seconds", "cells", "events_tracked", "workers",
+            "replays_reused",
         } <= timings.keys()
         assert timings["cells"] == 4
         for worker in timings["workers"].values():
@@ -146,11 +147,11 @@ class TestStoreJson:
             "hits", "misses", "writes", "corruptions",
         }
 
+    GRID = ["sweep", "--windows", "5,13", "--caps", "2,3"]
+
     def test_sweep_store_block_schema(self, capsys, store_dir):
-        argv = [
-            "sweep", "--windows", "5", "--caps", "2",
-            "--store", store_dir, "--json",
-        ]
+        """Record once ever: a warm store performs zero recordings."""
+        argv = self.GRID + ["--store", store_dir, "--json"]
         capsys.readouterr()
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -168,6 +169,56 @@ class TestStoreJson:
         assert warm["store"]["store_hits"] >= 1
         assert json.dumps(warm["cells"], sort_keys=True) == json.dumps(
             payload["cells"], sort_keys=True
+        )
+
+    def test_resume_after_a_hard_kill_is_byte_identical(
+        self, capsys, tmp_path
+    ):
+        """A sweep killed by ``os._exit`` after its first cell resumes from
+        its journal: one cell spliced, no recording, and the cells print
+        byte-identical to an uninterrupted run.  The resumed run starts
+        with an empty replay table, so this covers reuse after a crash."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        store_dir = str(tmp_path / "store")
+        child = (
+            "import os, sys\n"
+            "from repro.store import ArtifactStore, RunJournal\n"
+            "from repro.sweep import GridSpec, TraceCache, run_sweep\n"
+            "store = ArtifactStore(sys.argv[1])\n"
+            "cells = list(GridSpec(window_sizes=(5, 13),\n"
+            "                      propagation_caps=(2, 3)).cells())\n"
+            "journal = RunJournal.create(store.journal_path('killed'),\n"
+            "                            cells, 'killed')\n"
+            "def kill(result, done, total):\n"
+            "    if done == 1:\n"
+            "        os._exit(3)\n"
+            "run_sweep(cells, cache=TraceCache(backing_store=store),\n"
+            "          journal=journal, progress=kill)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", child, store_dir], env=env, timeout=300,
+        )
+        assert done.returncode == 3
+
+        capsys.readouterr()
+        assert main(self.GRID + [
+            "--store", store_dir, "--resume", "killed", "--json",
+        ]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["store"]["resumed_cells"] == 1
+        assert resumed["store"]["recordings"] == 0
+        assert main(self.GRID + ["--store", store_dir, "--json"]) == 0
+        uninterrupted = json.loads(capsys.readouterr().out)
+        assert json.dumps(resumed["cells"]) == json.dumps(
+            uninterrupted["cells"]
         )
 
     def test_report_and_trace_out_schemas(self, capsys, tmp_path):

@@ -496,6 +496,51 @@ class TestAdminVerbs:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("frame, error", [
+        ({"op": "hello", "device": "dev", "version": 1.9}, "hello version"),
+        ({"op": "hello", "device": "dev", "version": True}, "hello version"),
+        ({"op": "hello", "device": "dev", "version": 1, "colours": 0},
+         "hello colours must be a bool"),
+        ({"op": "drain", "device": "dev-a", "pid": 0.5}, "frame pid"),
+        ({"op": "drain", "device": "dev-a", "pid": True}, "frame pid"),
+        ({"op": "migrate", "device": "dev-a", "pid": "0"}, "frame pid"),
+        ({"op": "migrate", "device": "dev-a", "pid": 0, "worker": True},
+         "frame worker"),
+        ({"op": "restore", "snapshot": {}, "worker": [0]}, "frame worker"),
+        ({"op": "stop_worker", "worker": [0]}, "frame worker"),
+        ({"op": "stop_worker", "worker": 1.0}, "frame worker"),
+    ], ids=[
+        "version-float", "version-bool", "colours-int", "drain-pid-float",
+        "drain-pid-bool", "migrate-pid-str", "migrate-worker-bool",
+        "restore-worker-list", "stop-worker-list", "stop-worker-float",
+    ])
+    def test_mistyped_field_is_one_error_frame(self, tmp_path, frame, error):
+        """A hello or admin field of the wrong type is refused, never
+        coerced, and costs one error frame: ``stats`` still answers on
+        the same connection."""
+        async def scenario():
+            async with Daemon(tmp_path) as daemon:
+                client = await DeviceClient.connect(
+                    "dev-a", unix_path=daemon.path
+                )
+                await client.stream_run(make_run())
+                reader, writer = await open_connection(
+                    unix_path=daemon.path
+                )
+                writer.write(protocol.encode_frame(frame))
+                writer.write(protocol.encode_frame({"op": "stats"}))
+                await writer.drain()
+                first = protocol.decode_frame(await reader.readline())
+                second = protocol.decode_frame(await reader.readline())
+                writer.close()
+                await client.end()
+                return first, second
+
+        first, second = asyncio.run(scenario())
+        assert first["op"] == "error", first
+        assert error in first["error"]
+        assert second["op"] == "stats_result"
+
     def test_stop_last_worker_refused(self, tmp_path):
         async def scenario():
             async with Daemon(tmp_path, workers=2) as daemon:

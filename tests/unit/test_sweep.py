@@ -211,6 +211,99 @@ class TestEngine:
         assert result.malware_total == 7
 
 
+class TestReplayReuse:
+    """A sweep answers every fault-free cell inside a stored decision box
+    from one replay, and no cell can tell."""
+
+    TINY = "test_tiny_drop_cache"
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        from functools import partial
+
+        from repro.analysis.degradation import record_malware_runs
+        from repro.core.taint_storage import BoundedRangeCache, EvictionPolicy
+        from repro.sweep import STATE_FACTORIES
+
+        # A two-entry DROP cache evicts on real runs, so its verdicts
+        # depend on the exact sequence of state calls.
+        register_state_factory(self.TINY, lambda: partial(
+            BoundedRangeCache, 2, EvictionPolicy.DROP
+        ))
+        cache = TraceCache(droidbench=TraceCache().droidbench_runs(),
+                           malware=record_malware_runs(work=8))
+        cache.prime_replay_state()
+        yield cache
+        del STATE_FACTORIES[self.TINY]
+
+    def cells(self):
+        """DroidBench and malware, plain and bounded state, untainting on
+        and off, a colour cell and faulted cells, NI falling so boxes
+        cover later cells."""
+        cells = []
+
+        def add(config, **kwargs):
+            cells.append(SweepCell(index=len(cells), config=config, **kwargs))
+
+        for untainting in (True, False):
+            for nt in (1, 3, 10):
+                for ni in (20, 13, 5, 2):
+                    add(PIFTConfig(ni, nt, untainting), malware=True)
+                    add(PIFTConfig(ni, nt, untainting), state_spec=self.TINY)
+        add(PIFTConfig(13, 3), colours=True)
+        for ni in (13, 12):
+            add(PIFTConfig(ni, 3), rate=0.05, seed=7, malware=True)
+        return cells
+
+    @staticmethod
+    def payloads(cells):
+        return [json.dumps(cell.as_dict(), sort_keys=True) for cell in cells]
+
+    def test_cells_equal_an_empty_table_at_any_jobs_and_after_resume(
+        self, cache, tmp_path
+    ):
+        from repro.store import RunJournal
+
+        cells = self.cells()
+        # run_cell alone starts from an empty table every time.
+        fresh = self.payloads(run_cell(cell, cache) for cell in cells)
+        inline = run_sweep(cells, cache=cache)
+        assert self.payloads(inline.cells) == fresh
+        assert inline.timings()["replays_reused"] > 0
+        parallel = run_sweep(cells, cache=cache, jobs=2)
+        assert self.payloads(parallel.cells) == fresh
+
+        journal = RunJournal.create(tmp_path / "run.jsonl", cells, "reuse")
+
+        def interrupt(result, done, total):
+            if done == 5:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cells, cache=cache, journal=journal, progress=interrupt)
+        resumed = run_sweep(cells, cache=cache,
+                            journal=RunJournal.load(tmp_path / "run.jsonl"))
+        assert resumed.resumed == 5
+        assert self.payloads(resumed.cells) == fresh
+
+    def test_faulted_cells_never_reuse(self, cache):
+        faulted = [
+            SweepCell(index=i, config=PIFTConfig(13 - i, 3), rate=0.05,
+                      seed=3)
+            for i in range(3)
+        ]
+        assert run_sweep(faulted, cache=cache).timings()[
+            "replays_reused"] == 0
+
+    def test_figure_11_grid_reuses_replays(self, cache):
+        result = run_sweep(GridSpec(window_sizes=tuple(range(1, 21)),
+                                    propagation_caps=tuple(range(1, 11))),
+                           cache=cache)
+        assert len(result.cells) == 200
+        timings = result.timings()
+        assert 0 < timings["replays_reused"] < 200 * 57
+
+
 class TestAnalysisRewire:
     """The analysis entry points ride the engine with identical results."""
 
@@ -269,10 +362,10 @@ class TestAnalysisRewire:
 
         real_run_cell = engine.run_cell
 
-        def failing(cell, cache, telemetry=None):
+        def failing(cell, cache, **kwargs):
             if cell.index == 1:
                 raise RuntimeError("cell 1 always fails")
-            return real_run_cell(cell, cache, telemetry=telemetry)
+            return real_run_cell(cell, cache, **kwargs)
 
         # Workers fork after the patch, so they evaluate through it.
         monkeypatch.setattr(engine, "run_cell", failing)

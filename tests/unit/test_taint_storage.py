@@ -118,6 +118,53 @@ class TestSpillPolicy:
         assert cache.range_count == 2
 
 
+class TestSnapshotRestore:
+    @staticmethod
+    def spilled_cache():
+        cache = BoundedRangeCache(capacity_entries=2, policy=EvictionPolicy.SPILL)
+        for base in (0x100, 0x200, 0x300):
+            cache.add(AddressRange(base, base + 3))
+        cache.overlaps(AddressRange(0x100, 0x100))
+        return cache
+
+    def test_round_trip(self):
+        import json
+
+        cache = self.spilled_cache()
+        clone = BoundedRangeCache(capacity_entries=2, policy=EvictionPolicy.SPILL)
+        clone.restore(json.loads(json.dumps(cache.snapshot())))
+        assert clone.snapshot() == cache.snapshot()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda snap: snap.update(clock=7.5),
+        lambda snap: snap["lru"][0].__setitem__(2, 2.9),
+        lambda snap: snap.update(lru=None),
+        lambda snap: snap["stats"].update(lookups="3"),
+        lambda snap: snap["stats"].update(bogus=1),
+        lambda snap: snap["lru"].append([1, 2]),
+        lambda snap: snap["cache"]["starts"].__setitem__(0, 256.5),
+        lambda snap: snap.update(capacity_entries=2.0),
+    ], ids=[
+        "clock-float", "lru-clock-float", "lru-null", "stats-str",
+        "stats-unknown-key", "lru-pair", "cache-row-float",
+        "capacity-float",
+    ])
+    def test_malformed_snapshot_changes_nothing(self, corrupt):
+        """Every field is checked before any is replaced: a bad one
+        raises ValueError and the cache keeps its own state."""
+        import json
+
+        donor = self.spilled_cache()
+        bad = json.loads(json.dumps(donor.snapshot()))
+        corrupt(bad)
+        cache = BoundedRangeCache(capacity_entries=2, policy=EvictionPolicy.SPILL)
+        cache.add(AddressRange(0x900, 0x903))
+        before = cache.snapshot()
+        with pytest.raises(ValueError):
+            cache.restore(bad)
+        assert cache.snapshot() == before
+
+
 class TestDropPolicy:
     def test_overflow_drops_and_may_lose_taint(self):
         cache = BoundedRangeCache(capacity_entries=2, policy=EvictionPolicy.DROP)
