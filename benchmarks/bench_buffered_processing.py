@@ -10,47 +10,30 @@ both sink-check disciplines: blocking (prevention: drain, then answer)
 and immediate (detection: answer from stale state, reconcile later).
 """
 
+from repro.analysis.replay import replay_plan_for
 from repro.core import PAPER_DEFAULT
 from repro.core.buffered import BufferedPIFT
 
 
 def _feed(buffered, recorded, check_mode: str):
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-    source_i = check_i = 0
+    columns = recorded.trace.columns()
     verdicts = []
-    for event in recorded.trace:
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= event.instruction_index
-        ):
-            buffered.taint_source(sources[source_i].address_range)
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= event.instruction_index
-        ):
-            check = checks[check_i]
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        buffered.on_columns(columns, lo, hi)
+        if hi == len(columns):
+            buffered.drain_all()
+        for source in sources:
+            buffered.taint_source(source.address_range, pid=source.pid)
+        for check in checks:
             if check_mode == "blocking":
-                verdicts.append(buffered.check_blocking(check.address_range))
-            else:
                 verdicts.append(
-                    buffered.check_immediate(
-                        check.address_range, sink_name=check.sink_name
-                    )
+                    buffered.check_blocking(check.address_range, pid=check.pid)
                 )
-            check_i += 1
-        buffered.on_memory_event(event)
-    buffered.drain_all()
-    for check in checks[check_i:]:
-        if check_mode == "blocking":
-            verdicts.append(buffered.check_blocking(check.address_range))
-        else:
-            verdicts.append(
-                buffered.check_immediate(
-                    check.address_range, sink_name=check.sink_name
-                )
-            )
+            else:
+                verdicts.append(buffered.check_immediate(
+                    check.address_range, pid=check.pid,
+                    sink_name=check.sink_name,
+                ))
     return verdicts
 
 

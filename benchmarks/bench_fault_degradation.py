@@ -10,7 +10,8 @@ Runnable two ways:
 
 * under pytest-benchmark (tier-2): ``pytest benchmarks/bench_fault_degradation.py``
 * standalone: ``PYTHONPATH=src python benchmarks/bench_fault_degradation.py
-  [--smoke] [--json out.json]`` — the CI smoke job runs ``--smoke``.
+  [--smoke] [--json out.json]`` — tier-1
+  ``tests/unit/test_faults.py`` runs ``--smoke``.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from repro.analysis.degradation import (
     record_malware_runs,
 )
 
-#: Reduced sweep for the CI smoke job: fewer rates, smaller malware work.
+#: Reduced sweep for the smoke mode: fewer rates and apps.
 SMOKE_RATES = (0.0, 1e-2, 1e-1)
 
 #: Rates harsh enough to actually bend the accuracy curve (full mode).
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
         description="PIFT fault-degradation sweep (standalone mode)"
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="reduced sweep for CI (fewer apps and rates)")
+                        help="reduced sweep (fewer apps and rates)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the curve JSON to this file")
     args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ Run:  python examples/forensics_report.py
 
 from repro.core import PAPER_DEFAULT
 from repro.core.buffered import BufferedPIFT
-from repro.analysis.replay import replay_with_provenance
+from repro.analysis.replay import replay_plan_for, replay_with_provenance
 from repro.apps.malware import SAMPLES, run_sample
 
 
@@ -44,28 +44,22 @@ def buffering_section() -> None:
             capacity=512 if mode == "blocking" else 1_000_000,
             drain_batch=128,
         )
-        sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-        checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-        source_i = check_i = 0
+        columns = recorded.trace.columns()
         verdicts = []
-        for event in recorded.trace:
-            while (source_i < len(sources)
-                   and sources[source_i].instruction_index
-                   <= event.instruction_index):
-                buffered.taint_source(sources[source_i].address_range)
-                source_i += 1
-            while (check_i < len(checks)
-                   and checks[check_i].instruction_index
-                   <= event.instruction_index):
-                check = checks[check_i]
+        for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+            buffered.on_columns(columns, lo, hi)
+            if hi == len(columns):
+                buffered.drain_all()
+            for source in sources:
+                buffered.taint_source(source.address_range, pid=source.pid)
+            for check in checks:
                 if mode == "blocking":
-                    verdicts.append(
-                        buffered.check_blocking(check.address_range))
+                    verdicts.append(buffered.check_blocking(
+                        check.address_range, pid=check.pid))
                 else:
                     verdicts.append(buffered.check_immediate(
-                        check.address_range, sink_name=check.sink_name))
-                check_i += 1
-            buffered.on_memory_event(event)
+                        check.address_range, pid=check.pid,
+                        sink_name=check.sink_name))
         buffered.drain_all()
         stats = buffered.stats
         if mode == "blocking":

@@ -788,9 +788,16 @@ def cmd_faults(args) -> int:
 
 
 def _serve_router_kwargs(args) -> dict:
-    """ShardRouter construction kwargs shared by serve and fleet."""
+    """ShardRouter construction kwargs shared by serve and fleet; exits
+    on FIFO parameters every shard would reject."""
     from repro.core import OverflowPolicy
+    from repro.core.config import checked_buffer_params
 
+    try:
+        checked_buffer_params(args.capacity, args.drain_batch,
+                              args.high_watermark, args.low_watermark)
+    except ValueError as error:
+        raise SystemExit(str(error))
     return {
         "workers": args.workers,
         "capacity": args.capacity,
@@ -808,14 +815,13 @@ def cmd_serve(args) -> int:
     from repro.serve import PIFTServer, ShardRouter
 
     config = _config(args)
+    router_kwargs = _serve_router_kwargs(args)
     telemetry = _make_telemetry(args)
     if args.port is None and args.unix is None:
         args.port = 7787  # default ingestion endpoint
 
     async def run() -> None:
-        router = ShardRouter(
-            config, telemetry=telemetry, **_serve_router_kwargs(args)
-        )
+        router = ShardRouter(config, telemetry=telemetry, **router_kwargs)
         server = PIFTServer(router, telemetry=telemetry)
         await server.start(
             tcp=(args.host, args.port) if args.port is not None else None,
@@ -857,6 +863,7 @@ def cmd_fleet(args) -> int:
     from repro.serve.fleet import run_fleet_sync
 
     config = _config(args)
+    router_kwargs = _serve_router_kwargs(args)
     telemetry = _make_telemetry(args)
     if args.suite_file:
         from repro.store.suitefile import iter_suite_runs
@@ -879,7 +886,7 @@ def cmd_fleet(args) -> int:
         port=args.connect_port,
         unix_path=args.connect_unix,
         telemetry=telemetry,
-        **_serve_router_kwargs(args),
+        **router_kwargs,
     )
     if args.json:
         payload = {

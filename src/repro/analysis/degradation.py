@@ -24,7 +24,6 @@ and (empirically) monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,12 @@ from repro.core.ranges import RangeSet
 from repro.core.tracker import PIFTTracker, StateFactory
 from repro.android.device import RecordedRun
 from repro.analysis.accuracy import AccuracyReport, AppRun
-from repro.analysis.replay import ReplayResult, SinkOutcome, replay
+from repro.analysis.replay import (
+    ReplayResult,
+    SinkOutcome,
+    replay,
+    replay_plan_for,
+)
 
 #: The loss rates the acceptance sweep runs (log-spaced, plus zero).
 DEFAULT_RATES: Tuple[float, ...] = (0.0, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -58,45 +62,26 @@ def faulted_replay(
     tracker = PIFTTracker(config, state_factory=state_factory, telemetry=telemetry)
     injector = plan.injector(telemetry=telemetry)
     result = ReplayResult(config=config, stats=tracker.stats)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-    source_i = 0
-    check_i = 0
 
-    def drain_pending(upto_index: int) -> None:
-        nonlocal source_i, check_i
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto_index
-        ):
-            source = sources[source_i]
-            tracker.taint_source(source.address_range, pid=source.pid)
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto_index
-        ):
-            check = checks[check_i]
-            result.sink_outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=tracker.check(check.address_range, pid=check.pid),
-                    pid=check.pid,
-                )
-            )
-            check_i += 1
-
-    for event in recorded.trace:
-        drain_pending(event.instruction_index)
-        for delivered in injector.feed(event):
+    def deliver(events) -> None:
+        for delivered in events:
             tracker.observe(delivered)
             injector.state_faults(tracker, delivered.pid)
-    for delivered in injector.flush():
-        tracker.observe(delivered)
-        injector.state_faults(tracker, delivered.pid)
-    drain_pending(recorded.instruction_count)
+
+    # The injector takes one event at a time: its draws are per event,
+    # and event and state sites share one value stream.
+    events = recorded.trace.events
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        for event in events[lo:hi]:
+            deliver(injector.feed(event))
+        if hi == len(events):
+            deliver(injector.flush())
+        for source in sources:
+            tracker.taint_source(source.address_range, pid=source.pid)
+        for check in checks:
+            result.sink_outcomes.append(SinkOutcome.of(
+                check, tracker.check(check.address_range, pid=check.pid)
+            ))
     return result, injector.stats
 
 
@@ -422,8 +407,8 @@ def detection_latency_table(
     """
     oracle = replay(recorded, config)
     oracle_positives = sum(1 for o in oracle.sink_outcomes if o.tainted)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
+    columns = recorded.trace.columns()
+    steps = replay_plan_for(recorded).steps
     rows: List[LatencyRow] = []
     for rate in rates:
         plan = FaultPlan(
@@ -436,51 +421,19 @@ def detection_latency_table(
             policy=policy,
             faults=plan if plan.enabled else None,
         )
-        source_i = check_i = 0
         immediate_positives = 0
-
-        def drain_pending(upto_index: int) -> None:
-            nonlocal source_i, check_i, immediate_positives
-            while (
-                source_i < len(sources)
-                and sources[source_i].instruction_index <= upto_index
-            ):
-                source = sources[source_i]
+        for lo, hi, sources, checks in steps:
+            buffered.on_columns(columns, lo, hi)
+            if hi == len(columns):
+                buffered.drain_all()
+            for source in sources:
                 buffered.taint_source(source.address_range, pid=source.pid)
-                source_i += 1
-            while (
-                check_i < len(checks)
-                and checks[check_i].instruction_index <= upto_index
-            ):
-                check = checks[check_i]
+            for check in checks:
                 verdict = buffered.check_immediate_verdict(
                     check.address_range, pid=check.pid,
                     sink_name=check.sink_name,
                 )
                 immediate_positives += int(verdict.tainted)
-                check_i += 1
-
-        # Feed the trace in column slices that end just before the next
-        # event reaching a pending source or check: inside a slice the
-        # per-event drain_pending calls would all be no-ops.
-        columns = recorded.trace.columns()
-        indices = columns.indices
-        position = 0
-        while position < len(indices):
-            drain_pending(indices[position])
-            barrier = min(
-                sources[source_i].instruction_index
-                if source_i < len(sources) else math.inf,
-                checks[check_i].instruction_index
-                if check_i < len(checks) else math.inf,
-            )
-            stop = position + 1
-            while stop < len(indices) and indices[stop] < barrier:
-                stop += 1
-            buffered.on_columns(columns, position, stop)
-            position = stop
-        buffered.drain_all()
-        drain_pending(recorded.instruction_count)
         buffered.drain_all()
 
         behind = [late.events_behind for late in buffered.late_detections]

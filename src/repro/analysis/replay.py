@@ -5,10 +5,15 @@ simulator, and "the PIFT analysis code" consumes the trace together with
 the source/sink address ranges.  That makes parameter sweeps cheap — the
 200-point Figure 11/14/17 grids re-run the *tracker*, not the app.
 
-Replay is the sweep hot path, so it is batched: a :class:`ReplayPlan`
-(computed once per recorded run, cached on the run) pre-segments the event
-stream at the instruction indices where source registrations or sink
-checks interleave, and each segment is fed through
+One rule interleaves a run's events with its source registrations and
+sink checks, and a :class:`ReplayPlan` (computed once per recorded run,
+cached on the run) states it as steps: feed an event slice, then
+register the sources and answer the checks that fall due.  Every consumer
+of a recorded run walks those steps — :func:`replay`,
+:func:`replay_coloured` and :func:`replay_with_provenance` here, the
+faulted and buffered replays of :mod:`repro.analysis.degradation`, and
+the device frames of :func:`repro.serve.protocol.run_to_frames`.
+Replay is the sweep hot path, so each slice goes through
 :meth:`~repro.core.tracker.PIFTTracker.observe_columns` over the trace's
 cached column encoding.  Re-tracking the same run under another
 ``(NI, NT)`` cell reuses both the plan and the columns — record once,
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.config import PIFTConfig
 from repro.core.ranges import RangeSet
@@ -48,6 +53,19 @@ class SinkOutcome:
     #: there — the union projection.
     colours: Tuple[str, ...] = ()
 
+    @classmethod
+    def of(cls, check, tainted: bool,
+           colours: Tuple[str, ...] = ()) -> "SinkOutcome":
+        """The outcome of the recorded ``check`` (a ``SinkCheck``)."""
+        return cls(
+            sink_name=check.sink_name,
+            channel=check.channel,
+            instruction_index=check.instruction_index,
+            tainted=tainted,
+            pid=check.pid,
+            colours=colours,
+        )
+
 
 @dataclass
 class ReplayResult:
@@ -67,27 +85,37 @@ class ReplayResult:
         return any(outcome.tainted for outcome in self.sink_outcomes)
 
 
+class ReplayStep(NamedTuple):
+    """Feed events ``[lo, hi)``, then register ``sources``, then answer
+    ``checks`` (both in recorded instruction order)."""
+
+    lo: int
+    hi: int
+    sources: Tuple
+    checks: Tuple
+
+
 @dataclass(frozen=True)
 class ReplayPlan:
-    """Config-independent segmentation of a recorded run.
+    """Config-independent walk over a recorded run.
 
-    ``boundaries`` holds ``(event_position, sources_due, checks_due)``
-    triples: before observing the event at ``event_position``, drain that
-    many pending source registrations and sink checks (both in recorded
-    instruction order, sources first — exactly the order the per-event
-    replay loop used).  ``final_sources`` / ``final_checks`` drain after
-    the last event, bounded by the run's total instruction count.
+    A recorded source, then a sink check, takes effect before the first
+    event whose instruction index reaches its own; whatever is left takes
+    effect after the last event, up to the run's instruction count (and
+    never, past it).  ``steps`` holds that order: consecutive event
+    slices covering the trace, each followed by the sources and checks
+    due at its end; only the first slice can be empty, and the last
+    ends at the end of the trace.  ``sources`` lists every recorded
+    source in instruction order (the coloured replay pre-registers
+    their colours from it).
     """
 
     sources: Tuple
-    checks: Tuple
-    boundaries: Tuple[Tuple[int, int, int], ...]
-    final_sources: int
-    final_checks: int
+    steps: Tuple[ReplayStep, ...]
 
 
 def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
-    """Segment ``recorded`` once; every config replays the same plan."""
+    """Walk ``recorded`` once; every config replays the same plan."""
     sources = tuple(
         sorted(recorded.sources, key=lambda s: s.instruction_index)
     )
@@ -98,37 +126,30 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
     # list closed by an infinite sentinel so the scans need no bounds.
     source_at = [s.instruction_index for s in sources] + [math.inf]
     check_at = [c.instruction_index for c in checks] + [math.inf]
-    boundaries: List[Tuple[int, int, int]] = []
-    source_i = check_i = 0
-    due = min(source_at[0], check_at[0])
-    for position, upto in enumerate(recorded.trace.columns().indices):
-        if upto < due:
-            continue
-        sources_due = checks_due = 0
+    steps: List[ReplayStep] = []
+    lo = source_i = check_i = 0
+
+    def close(hi: int, upto: int) -> None:
+        nonlocal lo, source_i, check_i
+        first_source, first_check = source_i, check_i
         while source_at[source_i] <= upto:
-            sources_due += 1
             source_i += 1
         while check_at[check_i] <= upto:
-            checks_due += 1
             check_i += 1
-        if sources_due or checks_due:
-            boundaries.append((position, sources_due, checks_due))
-        due = min(source_at[source_i], check_at[check_i])
-    upto = recorded.instruction_count
-    final_sources = final_checks = 0
-    while source_at[source_i] <= upto:
-        final_sources += 1
-        source_i += 1
-    while check_at[check_i] <= upto:
-        final_checks += 1
-        check_i += 1
-    return ReplayPlan(
-        sources=sources,
-        checks=checks,
-        boundaries=tuple(boundaries),
-        final_sources=final_sources,
-        final_checks=final_checks,
-    )
+        steps.append(ReplayStep(
+            lo, hi, sources[first_source:source_i],
+            checks[first_check:check_i],
+        ))
+        lo = hi
+
+    indices = recorded.trace.columns().indices
+    due = min(source_at[0], check_at[0])
+    for position, upto in enumerate(indices):
+        if upto >= due:
+            close(position, upto)
+            due = min(source_at[source_i], check_at[check_i])
+    close(len(indices), recorded.instruction_count)
+    return ReplayPlan(sources=sources, steps=tuple(steps))
 
 
 def replay_plan_for(recorded: RecordedRun) -> ReplayPlan:
@@ -158,83 +179,19 @@ def replay_with_provenance(
     from repro.core.provenance import ProvenanceTracker
 
     tracker = ProvenanceTracker(config)
-    sources = sorted(recorded.sources, key=lambda s: s.instruction_index)
     order = {id(check): i for i, check in enumerate(recorded.sink_checks)}
-    checks = sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
     outcomes: Dict[int, frozenset] = {}
-    source_i = check_i = 0
-
-    def drain(upto_index: int) -> None:
-        nonlocal source_i, check_i
-        while (
-            source_i < len(sources)
-            and sources[source_i].instruction_index <= upto_index
-        ):
-            source = sources[source_i]
+    columns = recorded.trace.columns()
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        tracker.observe_columns(columns, lo, hi)
+        for source in sources:
             tracker.taint_source(
                 source.source_name, source.address_range, pid=source.pid
             )
-            source_i += 1
-        while (
-            check_i < len(checks)
-            and checks[check_i].instruction_index <= upto_index
-        ):
-            check = checks[check_i]
+        for check in checks:
             outcomes[order[id(check)]] = tracker.check(
                 check.address_range, pid=check.pid, sink_name=check.sink_name
             )
-            check_i += 1
-
-    for event in recorded.trace:
-        drain(event.instruction_index)
-        tracker.observe(event)
-    drain(recorded.instruction_count)
-    return outcomes
-
-
-def _replay_segments(tracker, recorded: RecordedRun, plan: ReplayPlan,
-                     register, verdict) -> List[SinkOutcome]:
-    """The plan-segment loop shared by :func:`replay` and
-    :func:`replay_coloured`.
-
-    Feeds each event segment between drain boundaries through
-    ``tracker.observe_columns`` and, at each boundary, hands the due
-    source registrations to ``register(source)`` and the due sink checks
-    to ``verdict(check)``, which answers ``(tainted, colours)``.
-    """
-    sources = plan.sources
-    checks = plan.checks
-    outcomes: List[SinkOutcome] = []
-    source_i = check_i = 0
-
-    def drain(sources_due: int, checks_due: int) -> None:
-        nonlocal source_i, check_i
-        for source in sources[source_i:source_i + sources_due]:
-            register(source)
-        source_i += sources_due
-        for check in checks[check_i:check_i + checks_due]:
-            tainted, colours = verdict(check)
-            outcomes.append(
-                SinkOutcome(
-                    sink_name=check.sink_name,
-                    channel=check.channel,
-                    instruction_index=check.instruction_index,
-                    tainted=tainted,
-                    pid=check.pid,
-                    colours=colours,
-                )
-            )
-        check_i += checks_due
-
-    columns = recorded.trace.columns()
-    position = 0
-    for boundary, sources_due, checks_due in plan.boundaries:
-        if boundary > position:
-            tracker.observe_columns(columns, position, boundary)
-            position = boundary
-        drain(sources_due, checks_due)
-    tracker.observe_columns(columns, position, len(columns))
-    drain(plan.final_sources, plan.final_checks)
     return outcomes
 
 
@@ -259,15 +216,16 @@ def replay(
         record_timeline=record_timeline,
         telemetry=telemetry,
     )
-    outcomes = _replay_segments(
-        tracker, recorded, replay_plan_for(recorded),
-        register=lambda source: tracker.taint_source(
-            source.address_range, pid=source.pid
-        ),
-        verdict=lambda check: (
-            tracker.check(check.address_range, pid=check.pid), ()
-        ),
-    )
+    outcomes: List[SinkOutcome] = []
+    columns = recorded.trace.columns()
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        tracker.observe_columns(columns, lo, hi)
+        for source in sources:
+            tracker.taint_source(source.address_range, pid=source.pid)
+        for check in checks:
+            outcomes.append(SinkOutcome.of(
+                check, tracker.check(check.address_range, pid=check.pid)
+            ))
     return ReplayResult(config=config, stats=tracker.stats,
                         sink_outcomes=outcomes, box=tracker.decision_box())
 
@@ -299,16 +257,19 @@ def replay_coloured(
     plan = replay_plan_for(recorded)
     for source in plan.sources:
         tracker.colours.register(source_colour(source))
-
-    def register(source) -> None:
-        tracker.taint_source(
-            source.address_range, pid=source.pid, colour=source_colour(source)
-        )
-
-    def verdict(check) -> Tuple[bool, Tuple[str, ...]]:
-        mask = tracker.check_mask(check.address_range, pid=check.pid)
-        return bool(mask), tracker.colours.names_for(mask)
-
-    outcomes = _replay_segments(tracker, recorded, plan, register, verdict)
+    outcomes: List[SinkOutcome] = []
+    columns = recorded.trace.columns()
+    for lo, hi, sources, checks in plan.steps:
+        tracker.observe_columns(columns, lo, hi)
+        for source in sources:
+            tracker.taint_source(
+                source.address_range, pid=source.pid,
+                colour=source_colour(source),
+            )
+        for check in checks:
+            mask = tracker.check_mask(check.address_range, pid=check.pid)
+            outcomes.append(SinkOutcome.of(
+                check, bool(mask), tracker.colours.names_for(mask)
+            ))
     return ReplayResult(config=config, stats=tracker.stats,
                         sink_outcomes=outcomes, box=tracker.decision_box())

@@ -98,15 +98,11 @@ class AndroidDevice:
         keep_full_trace: bool = False,
         fused_dispatch: bool = False,
         telemetry=None,
-        faults=None,
     ) -> None:
         """``telemetry`` (a :class:`repro.telemetry.Telemetry`) is threaded
         into every layer — CPU batches, VM method spans, the tracker's
         mutation stream, and the manager's source/sink events all report
-        to the same hub.  ``faults`` (a :class:`repro.core.FaultPlan`)
-        injects deterministic event/state faults between the CPU front
-        end and the PIFT hardware module; the recorded trace stays
-        pristine — only the live tracker sees the faulted stream."""
+        to the same hub."""
         self.telemetry = telemetry
         self.cpu = CPU(telemetry=telemetry)
         self.hw = PIFTHardwareModule(
@@ -114,7 +110,6 @@ class AndroidDevice:
             state_factory=state_factory,
             record_timeline=record_timeline,
             telemetry=telemetry,
-            faults=faults,
         )
         self.module = PIFTKernelModule(self.hw)
         self.native = PIFTNative(self.module)
@@ -221,10 +216,6 @@ class AndroidDevice:
     @property
     def stats(self):
         return self.hw.stats
-
-    @property
-    def fault_stats(self):
-        return self.hw.fault_stats
 
 
 def _channel_of(sink_name: str) -> str:

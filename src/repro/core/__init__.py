@@ -27,7 +27,6 @@ from repro.core.config import (
     PAPER_DEFAULT,
     PAPER_MALWARE_MINIMUM,
     PAPER_PERFECT,
-    BufferConfig,
     OverflowPolicy,
     PIFTConfig,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "AddressRange",
     "AddressTranslationError",
     "BoundedRangeCache",
-    "BufferConfig",
     "BufferStats",
     "BufferedPIFT",
     "ColourProvenance",

@@ -57,7 +57,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.core.colours import ColourSpace
-from repro.core.config import BufferConfig, OverflowPolicy, PIFTConfig
+from repro.core.config import (
+    OverflowPolicy, PIFTConfig, checked_buffer_params,
+)
 from repro.core.events import (
     AccessKind, EventColumns, MemoryAccess, checked_columns, checked_int64,
     checked_range,
@@ -195,8 +197,9 @@ class BufferedPIFT:
         colours: Optional[ColourSpace] = None,
         on_backpressure: Optional[Callable[[bool], None]] = None,
     ) -> None:
-        if capacity < 1 or drain_batch < 1:
-            raise ValueError("capacity and drain_batch must be >= 1")
+        self._high_watermark, self._low_watermark = checked_buffer_params(
+            capacity, drain_batch, high_watermark, low_watermark
+        )
         self._coloured = colours is not None
         if self._coloured:
             self.tracker: PIFTTracker = ColourTracker(
@@ -207,14 +210,6 @@ class BufferedPIFT:
         self.capacity = capacity
         self.drain_batch = drain_batch
         self.policy = policy
-        self._high_watermark = capacity if high_watermark is None else high_watermark
-        if not 1 <= self._high_watermark <= capacity:
-            raise ValueError("high_watermark must be in [1, capacity]")
-        self._low_watermark = (
-            self._high_watermark // 2 if low_watermark is None else low_watermark
-        )
-        if not 0 <= self._low_watermark < self._high_watermark:
-            raise ValueError("low_watermark must be in [0, high_watermark)")
         self.stats = BufferStats()
         self.late_detections: List[LateDetection] = []
         # FIFO and spill queue of ``[columns, lo, hi]`` segments, oldest
@@ -263,26 +258,6 @@ class BufferedPIFT:
             self._m_backpressure = m.counter(
                 "buffer.backpressure_engagements", "high-watermark crossings"
             )
-
-    @classmethod
-    def from_config(
-        cls,
-        config: PIFTConfig,
-        buffer: BufferConfig,
-        telemetry: Optional["Telemetry"] = None,
-        faults: Optional["FaultPlan"] = None,
-    ) -> "BufferedPIFT":
-        """Build from a :class:`~repro.core.config.BufferConfig` bundle."""
-        return cls(
-            config,
-            capacity=buffer.capacity,
-            drain_batch=buffer.drain_batch,
-            telemetry=telemetry,
-            policy=buffer.policy,
-            high_watermark=buffer.effective_high_watermark,
-            low_watermark=buffer.effective_low_watermark,
-            faults=faults,
-        )
 
     # -- front-end side ----------------------------------------------------------
 

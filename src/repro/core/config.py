@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -90,50 +90,35 @@ class OverflowPolicy(enum.Enum):
     SPILL = "spill"
 
 
-@dataclass(frozen=True)
-class BufferConfig:
-    """Parameters of the §1 buffered (off-critical-path) design point.
+def checked_buffer_params(
+    capacity: int,
+    drain_batch: int,
+    high_watermark: Optional[int] = None,
+    low_watermark: Optional[int] = None,
+) -> Tuple[int, int]:
+    """Check the §1 buffered design point's FIFO parameters.
 
-    Attributes:
-        capacity: maximum buffered events in the hardware FIFO.
-        drain_batch: events processed per drain step (and per spill
-            burst under :attr:`OverflowPolicy.SPILL`).
-        policy: overflow behaviour when the FIFO is full.
-        high_watermark: FIFO depth at which backpressure engages
-            (default: ``capacity``).
-        low_watermark: depth at which backpressure releases (default:
-            half the high watermark).
+    ``capacity`` (events the FIFO holds) and ``drain_batch`` (events per
+    drain step, and per spill burst under :attr:`OverflowPolicy.SPILL`)
+    must be at least 1.  The high watermark, where backpressure engages
+    (default ``capacity``), must lie in ``[1, capacity]``; the low one,
+    where it releases (default half the high watermark), in
+    ``[0, high)``.  Returns the effective ``(high, low)`` watermarks;
+    anything else raises :class:`ValueError`.
     """
-
-    capacity: int = 1024
-    drain_batch: int = 256
-    policy: OverflowPolicy = OverflowPolicy.BLOCK
-    high_watermark: Optional[int] = None
-    low_watermark: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1 or self.drain_batch < 1:
-            raise ValueError("capacity and drain_batch must be >= 1")
-        high = self.capacity if self.high_watermark is None else self.high_watermark
-        low = high // 2 if self.low_watermark is None else self.low_watermark
-        if not 1 <= high <= self.capacity:
-            raise ValueError(
-                f"high_watermark must be in [1, capacity], got {high}"
-            )
-        if not 0 <= low < high:
-            raise ValueError(
-                f"low_watermark must be in [0, high_watermark), got {low}"
-            )
-
-    @property
-    def effective_high_watermark(self) -> int:
-        return self.capacity if self.high_watermark is None else self.high_watermark
-
-    @property
-    def effective_low_watermark(self) -> int:
-        if self.low_watermark is None:
-            return self.effective_high_watermark // 2
-        return self.low_watermark
+    if capacity < 1 or drain_batch < 1:
+        raise ValueError("capacity and drain_batch must be >= 1")
+    high = capacity if high_watermark is None else high_watermark
+    if not 1 <= high <= capacity:
+        raise ValueError(
+            f"high_watermark must be in [1, capacity], got {high}"
+        )
+    low = high // 2 if low_watermark is None else low_watermark
+    if not 0 <= low < high:
+        raise ValueError(
+            f"low_watermark must be in [0, high_watermark), got {low}"
+        )
+    return high, low
 
 
 #: The accuracy-optimal setting from the paper's Figure 11 discussion.

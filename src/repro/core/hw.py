@@ -64,7 +64,6 @@ class PIFTHardwareModule:
         state_factory: StateFactory = RangeSet,
         record_timeline: bool = False,
         telemetry=None,
-        faults=None,
     ) -> None:
         self._tracker = PIFTTracker(
             config,
@@ -72,13 +71,6 @@ class PIFTHardwareModule:
             record_timeline=record_timeline,
             telemetry=telemetry,
         )
-        # The faulted variant is bound over ``on_memory_event`` as an
-        # instance attribute only when a plan is supplied, so the
-        # fault-free event path stays byte-identical.
-        self._injector = None
-        if faults is not None:
-            self._injector = faults.injector(telemetry=telemetry)
-            self.on_memory_event = self._on_memory_event_with_faults
 
     @property
     def config(self) -> PIFTConfig:
@@ -92,21 +84,9 @@ class PIFTHardwareModule:
     def tracker(self) -> PIFTTracker:
         return self._tracker
 
-    @property
-    def fault_stats(self):
-        """The injector's FaultStats, or None when no plan is active."""
-        return self._injector.stats if self._injector is not None else None
-
     def on_memory_event(self, event: MemoryAccess) -> None:
         """Front-end entry point: one load/store plus its metadata."""
         self._tracker.observe(event)
-
-    def _on_memory_event_with_faults(self, event: MemoryAccess) -> None:
-        """Fault-path shadow of :meth:`on_memory_event` (instance-bound)."""
-        injector = self._injector
-        for delivered in injector.feed(event):
-            self._tracker.observe(delivered)
-            injector.state_faults(self._tracker, delivered.pid)
 
     def execute(self, request: CommandRequest) -> CommandResponse:
         """Software entry point: dispatch one memory-mapped command."""

@@ -34,7 +34,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.colours import ColourSpace
 from repro.core.config import PIFTConfig
-from repro.core.events import MemoryAccess
+from repro.core.events import EventColumns, MemoryAccess
 from repro.core.ranges import AddressRange
 from repro.core.tracker import ColourTracker, PIFTTracker
 
@@ -72,6 +72,13 @@ class ProvenanceTracker:
     def observe(self, event: MemoryAccess) -> None:
         for tracker in self._trackers.values():
             tracker.observe(event)
+
+    def observe_columns(
+        self, columns: EventColumns, start: int = 0, stop: Optional[int] = None
+    ) -> None:
+        """:meth:`observe` over a column slice, one call per label."""
+        for tracker in self._trackers.values():
+            tracker.observe_columns(columns, start, stop)
 
     def run(self, events: Iterable[MemoryAccess]) -> None:
         # Materialise once; every label's tracker sees the same stream.

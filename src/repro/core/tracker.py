@@ -684,7 +684,6 @@ class PIFTTracker:
             self.config.vectorized
             and stop - start >= _VECTORIZED_MIN_EVENTS
             and self._state_factory in _KERNEL_STATES
-            and vectorized.HAVE_NUMPY
         ):
             vectorized.observe_columns(self, columns, start, stop)
         else:

@@ -49,20 +49,13 @@ kernel returns.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatched stubs
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.events import ColumnArrays, EventColumns
     from repro.core.tracker import PIFTTracker
-
-#: Is the kernel usable at all (numpy importable)?
-HAVE_NUMPY = _np is not None
 
 #: First classification block; doubled after every fully-irrelevant block.
 BLOCK_MIN = 512
@@ -86,9 +79,6 @@ BAILOUT_AFTER = 512
 #: Events handed to the scalar loop per density bail-out before the
 #: kernel re-probes with a fresh classification window.
 REPROBE_EVERY = 4096
-
-#: One-shot flag for the numpy-absence fallback warning.
-_numpy_fallback_warned = False
 
 
 def _pid_relevance(
@@ -235,23 +225,7 @@ def observe_columns(
     :data:`BAILOUT_AFTER` scalar events) hand a bounded
     :data:`REPROBE_EVERY` chunk to the scalar loop, then re-probe — so a
     dense-prefix/sparse-tail trace regains the fast path.
-
-    Without numpy the whole call degrades to
-    :meth:`~repro.core.tracker.PIFTTracker.observe_columns_scalar` with a
-    one-shot warning (equivalent to ``--no-vectorized``).
     """
-    if _np is None:
-        global _numpy_fallback_warned
-        if not _numpy_fallback_warned:
-            _numpy_fallback_warned = True
-            warnings.warn(
-                "numpy is unavailable; the vectorised kernel is falling "
-                "back to the scalar loop (equivalent to --no-vectorized)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        tracker.observe_columns_scalar(columns, start, stop)
-        return
     arrays = columns.arrays()
     scalar = tracker.observe_columns_scalar
     position = start

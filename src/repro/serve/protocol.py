@@ -237,41 +237,23 @@ def run_to_frames(
     """A recorded run as the canonical device frame sequence.
 
     Yields ``source`` / ``events`` / ``check`` frames in replay-plan
-    order: the events before each plan boundary (chunked to ``chunk``),
-    then that boundary's due sources, then its due checks — byte for
-    byte the interleaving :func:`repro.analysis.replay.replay` drains,
-    so streamed verdicts align 1:1 with batch ``sink_outcomes``.  The
-    trailing ``end`` frame is the caller's to send (the client appends
-    it once per *stream*, not per run).
+    order: each step's events (chunked to ``chunk``), then its due
+    sources, then its due checks — byte for byte the interleaving
+    :func:`repro.analysis.replay.replay` walks, so streamed verdicts
+    align 1:1 with batch ``sink_outcomes``.  The trailing ``end`` frame
+    is the caller's to send (the client appends it once per *stream*,
+    not per run).
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    plan = replay_plan_for(recorded)
     columns = recorded.trace.columns()
-    source_i = check_i = 0
-    position = 0
-
-    def emit_events(upto: int) -> Iterator[dict]:
-        nonlocal position
-        while position < upto:
-            stop = min(position + chunk, upto)
-            yield _columns_frame(columns, position, stop)
-            position = stop
-
-    def emit_boundary(sources_due: int, checks_due: int) -> Iterator[dict]:
-        nonlocal source_i, check_i
-        for source in plan.sources[source_i:source_i + sources_due]:
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        for start in range(lo, hi, chunk):
+            yield _columns_frame(columns, start, min(start + chunk, hi))
+        for source in sources:
             yield source_frame(source)
-        source_i += sources_due
-        for check in plan.checks[check_i:check_i + checks_due]:
+        for check in checks:
             yield check_frame(check)
-        check_i += checks_due
-
-    for boundary, sources_due, checks_due in plan.boundaries:
-        yield from emit_events(boundary)
-        yield from emit_boundary(sources_due, checks_due)
-    yield from emit_events(len(columns))
-    yield from emit_boundary(plan.final_sources, plan.final_checks)
 
 
 def verdict_key(verdict: dict) -> tuple:

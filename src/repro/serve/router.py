@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional
 
-from repro.core.config import OverflowPolicy, PIFTConfig
+from repro.core.config import OverflowPolicy, PIFTConfig, checked_buffer_params
 from repro.core.events import checked_int64
 from repro.core.tracker import snapshot_section
 from repro.serve.shard import ShardError, ShardKey, TrackerShard
@@ -108,6 +108,9 @@ class ShardRouter:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        # Every shard's FIFO would reject these; refuse them up front.
+        checked_buffer_params(capacity, drain_batch, high_watermark,
+                              low_watermark)
         self.config = config
         self.capacity = capacity
         self.drain_batch = drain_batch

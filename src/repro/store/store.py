@@ -357,42 +357,6 @@ class ArtifactStore:
     def get_runs(self, key: StoreKey):
         return self.get_by_digest(key.digest)
 
-    def stream_runs(self, key: StoreKey):
-        """Iterate the stored runs one at a time, or None on miss.
-
-        The streaming read path for long-lived consumers (the `repro
-        serve` fleet client): the checksum is verified by hashing the
-        payload file in chunks up front, then runs decode lazily via
-        :func:`~repro.store.suitefile.iter_suite_runs` — one run of
-        memory instead of the whole suite.  A structural problem found
-        mid-stream raises
-        :class:`~repro.analysis.tracefile.TraceFormatError` (the entry
-        is *not* quarantined then: some runs may already be in flight —
-        callers re-record, and the next checked read quarantines).
-        """
-        from repro.store.suitefile import iter_suite_runs
-
-        payload_path, meta_path = self._entry_paths(key.digest)
-        meta = self._read_meta(meta_path)
-        if meta is None:
-            self._note_miss()
-            return None
-        hasher = hashlib.sha256()
-        try:
-            with open(payload_path, "rb") as fileobj:
-                for chunk in iter(lambda: fileobj.read(1 << 20), b""):
-                    hasher.update(chunk)
-        except OSError:
-            self._note_miss()
-            return None
-        if hasher.hexdigest() != meta.get("sha256"):
-            self._note_corruption()
-            self._quarantine(key.digest)
-            self._note_miss()
-            return None
-        self._note_hit()
-        return iter_suite_runs(payload_path)
-
     def has(self, key: StoreKey) -> bool:
         """True when a committed entry exists (no checksum pass)."""
         payload_path, meta_path = self._entry_paths(key.digest)

@@ -7,17 +7,16 @@ import pytest
 
 from repro.core import (
     AddressRange,
-    BufferConfig,
     BufferedPIFT,
     FaultPlan,
     FaultRates,
     OverflowPolicy,
     PIFTConfig,
-    PIFTHardwareModule,
     load,
     parse_fault_spec,
     store,
 )
+from repro.core.config import checked_buffer_params
 from repro.core.taint_storage import BoundedRangeCache, EvictionPolicy
 from repro.core.tracker import PIFTTracker
 
@@ -229,19 +228,6 @@ class TestParity:
         assert plain.tracker.stats.as_dict() == zero.tracker.stats.as_dict()
         assert plain.late_detections == zero.late_detections
 
-    def test_hw_module_parity(self):
-        def run(faults):
-            hw = PIFTHardwareModule(CONFIG, faults=faults)
-            hw.tracker.taint_source(IMEI)
-            for event in leaky_workload(150):
-                hw.on_memory_event(event)
-            return hw
-
-        plain, zero = run(None), run(FaultPlan(seed=9))
-        assert plain.stats.as_dict() == zero.stats.as_dict()
-        assert plain.fault_stats is None
-        assert zero.fault_stats.total_injections == 0
-
     def test_suite_verdict_parity(self):
         """Zero-rate faulted replay reproduces the fault-free suite verdicts
         app for app at the paper's (13, 3) cell."""
@@ -324,21 +310,16 @@ class TestOverflowPolicies:
         assert buffered.stats.max_queue_depth <= 4
         assert buffered.stats.forced_drops == 0
 
-    def test_from_config_builder(self):
-        buffer_config = BufferConfig(capacity=8, drain_batch=2,
-                                     policy=OverflowPolicy.DROP_NEWEST,
-                                     high_watermark=6, low_watermark=2)
-        buffered = BufferedPIFT.from_config(CONFIG, buffer_config)
-        assert buffered.capacity == 8
-        assert buffered.policy is OverflowPolicy.DROP_NEWEST
-
-    def test_buffer_config_validation(self):
+    def test_buffer_param_validation(self):
+        assert checked_buffer_params(1024, 256) == (1024, 512)
+        assert checked_buffer_params(8, 2, 6, 2) == (6, 2)
         with pytest.raises(ValueError):
-            BufferConfig(capacity=0)
+            checked_buffer_params(0, 256)
         with pytest.raises(ValueError):
-            BufferConfig(high_watermark=2000)
+            checked_buffer_params(1024, 256, high_watermark=2000)
         with pytest.raises(ValueError):
-            BufferConfig(high_watermark=10, low_watermark=10)
+            checked_buffer_params(1024, 256, high_watermark=10,
+                                  low_watermark=10)
         with pytest.raises(ValueError):
             BufferedPIFT(CONFIG, capacity=8, high_watermark=9)
 
@@ -539,28 +520,6 @@ class TestSnapshotRestore:
         assert late.sink_name == "sms"
 
 
-class TestDeviceIntegration:
-    def test_device_threads_fault_plan(self):
-        from repro.apps.malware import sample_by_name, run_sample
-        from repro.android.device import AndroidDevice
-
-        sample = sample_by_name("LGRoot")
-        plan = FaultPlan(seed=1, rates=FaultRates(event_loss=0.05))
-        device = AndroidDevice(faults=plan)
-        device.install(sample.build(device, 16))
-        device.run(sample.entry)
-        assert device.fault_stats is not None
-        assert device.fault_stats.events_dropped > 0
-        # The recorded trace stays pristine: replaying it fault-free sees
-        # every event the CPU emitted.
-        assert len(device.recorded.trace) == device.fault_stats.events_seen
-
-    def test_device_without_plan_has_no_fault_stats(self):
-        from repro.android.device import AndroidDevice
-
-        assert AndroidDevice().fault_stats is None
-
-
 class TestDegradationAnalysis:
     def test_faulted_replay_zero_plan_matches_replay(self):
         from repro.core import PAPER_DEFAULT
@@ -606,6 +565,29 @@ class TestDegradationAnalysis:
         assert row.forced_drops == 0
         assert row.degraded_checks == 0
         assert row.missed == 0
+
+
+    def test_smoke_sweep_keeps_its_invariants(self, tmp_path):
+        """``bench_fault_degradation.py --smoke``: 12 DroidBench apps and
+        the malware samples (work 16) at loss rates 0, 1e-2 and 1e-1,
+        seed 1.  Accuracy never rises with the rate, and rate 0 injects
+        nothing and catches all seven samples."""
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).parents[2] / "benchmarks"
+                / "bench_fault_degradation.py")
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        out = tmp_path / "degradation.json"
+        assert bench.main(["--smoke", "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["accuracy_non_increasing"], payload
+        point = payload["curve"]["points"][0]
+        assert point["rate"] == 0
+        assert point["faults"]["total_injections"] == 0
+        assert point["malware_detected"] == point["malware_total"] == 7
 
 
 class TestFaultsCLI:

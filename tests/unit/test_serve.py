@@ -657,3 +657,38 @@ class TestFleetParity:
             run_fleet_sync(make_suite(1), migrate=True, workers=1)
         with pytest.raises(ValueError, match="at least one"):
             run_fleet_sync([], devices=2)
+
+
+#: FIFO parameters every shard's ``BufferedPIFT`` rejects.
+BAD_BUFFERS = (
+    {"capacity": 0},
+    {"drain_batch": 0},
+    {"capacity": 0, "drain_batch": 0},
+    {"capacity": 8, "high_watermark": 9},
+    {"high_watermark": 0},
+    {"high_watermark": 10, "low_watermark": 10},
+    {"low_watermark": -1},
+)
+
+
+class TestBufferParameters:
+    @pytest.mark.parametrize("bad", BAD_BUFFERS, ids=str)
+    def test_router_rejects_them_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ShardRouter(CONFIG, **bad)
+
+    @pytest.mark.parametrize("command", ("serve", "fleet"))
+    def test_cli_exits_before_binding_a_socket(
+        self, command, monkeypatch, tmp_path
+    ):
+        from repro.__main__ import main
+
+        async def bind(*args, **kwargs):
+            raise AssertionError("bound a socket")
+
+        monkeypatch.setattr(PIFTServer, "start", bind)
+        argv = [command, "--capacity", "8", "--high-watermark", "9"]
+        if command == "serve":
+            argv += ["--unix", str(tmp_path / "serve.sock")]
+        with pytest.raises(SystemExit, match="high_watermark"):
+            main(argv)

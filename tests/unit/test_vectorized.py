@@ -341,30 +341,6 @@ class TestKernelMechanics:
         assert trackers[0].snapshot() == trackers[1].snapshot()
         assert trackers[1].snapshot() == trackers[2].snapshot()
 
-    def test_numpy_absence_falls_back_scalar_with_one_warning(
-        self, monkeypatch
-    ):
-        stream = tainting_stream(600)
-        columns = EventColumns.from_events(stream)
-        monkeypatch.setattr(vectorized, "_np", None)
-        monkeypatch.setattr(vectorized, "_numpy_fallback_warned", False)
-        monkeypatch.setattr(
-            EventColumns,
-            "arrays",
-            lambda self: pytest.fail("fallback must not build numpy arrays"),
-        )
-        tracker = make_tracker()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            tracker.observe_columns_vectorized(columns)
-        reference = make_tracker(vectorized_on=False)
-        reference.observe_columns_scalar(columns)
-        assert tracker.stats.as_dict() == reference.stats.as_dict()
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")  # second call: no warning
-            tracker.observe_columns_vectorized(columns)
-
     def test_mostly_untainted_trace_skips_wholesale(self, monkeypatch):
         stream = untainted_stream(vectorized.BLOCK_MIN * 8)
         columns = EventColumns.from_events(stream)
@@ -409,87 +385,3 @@ class TestKernelMechanics:
         assert tracker.stats.as_dict() == reference.stats.as_dict()
         assert tracker.snapshot() == reference.snapshot()
         assert tracker.stats.taint_operations >= 2
-
-
-class TestNumpyAbsentReplayDegradation:
-    """Replay-level numpy degradation: with numpy gone, both the plain and
-    the coloured replay must fall back to the scalar loop behind exactly
-    one RuntimeWarning — and produce verdicts identical to the
-    numpy-enabled run (the fallback is an execution strategy, never a
-    semantics change)."""
-
-    @staticmethod
-    def _recorded_run():
-        import random
-
-        from repro.android.device import (
-            RecordedRun, SinkCheck, SourceRegistration,
-        )
-        from repro.core.events import load as mk_load, store as mk_store
-
-        rng = random.Random(7)
-        run = RecordedRun()
-        for slot, name in enumerate(("imei", "location")):
-            lo = slot * 8192
-            run.sources.append(
-                SourceRegistration(AddressRange(lo, lo + 4095), 0, name)
-            )
-        index = 0
-        for i in range(800):
-            index += 1
-            if i % 5 == 0:
-                lo = (i // 5) % 2 * 8192
-                a = lo + rng.randrange(0, 4080)
-                run.trace.append(mk_load(a, a + 3, index))
-            else:
-                a = 1 << 16 | rng.randrange(0, 2040)
-                run.trace.append(mk_store(a, a + 7, index))
-        run.trace.note_instruction(index + 1)
-        run.sink_checks.append(
-            SinkCheck(
-                AddressRange(1 << 16, (1 << 16) + 255),
-                index + 1, "network", "socket",
-            )
-        )
-        return run
-
-    def test_replays_degrade_with_one_warning_and_identical_verdicts(
-        self, monkeypatch
-    ):
-        import warnings
-
-        from repro.analysis.replay import replay, replay_coloured
-        from repro.core import PIFTConfig
-
-        recorded = self._recorded_run()
-        config = PIFTConfig(window_size=13, max_propagations=3)
-
-        def verdicts(result):
-            return [
-                (o.sink_name, o.channel, o.instruction_index, o.pid,
-                 o.tainted, o.colours)
-                for o in result.sink_outcomes
-            ]
-
-        with_numpy_plain = verdicts(replay(recorded, config))
-        with_numpy_coloured = verdicts(replay_coloured(recorded, config))
-
-        monkeypatch.setattr(vectorized, "_np", None)
-        monkeypatch.setattr(vectorized, "_numpy_fallback_warned", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            without_numpy_plain = verdicts(replay(recorded, config))
-            without_numpy_coloured = verdicts(replay_coloured(recorded, config))
-        fallback_warnings = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "falling back" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1  # one-shot across both replays
-
-        assert without_numpy_plain == with_numpy_plain
-        assert without_numpy_coloured == with_numpy_coloured
-        # The replay actually exercised taint: at least one tainted
-        # verdict with attributed colours, or the parity claim is vacuous.
-        assert any(v[4] for v in without_numpy_coloured)
-        assert all(v[4] == bool(v[5]) for v in without_numpy_coloured)
