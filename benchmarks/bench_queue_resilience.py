@@ -166,7 +166,9 @@ def test_dispatcher_matches_serial(benchmark, suite_runs):
     assert queued.worker_deaths == 0 and not queued.poisoned
 
 
-def test_chaos_mortality_parity_and_overhead(benchmark, suite_runs):
+def test_chaos_mortality_parity_and_overhead(
+    benchmark, measured, suite_runs
+):
     """20% mortality: grid survives bit-identical, overhead bounded."""
     cache = TraceCache(droidbench=suite_runs)
     cache.prime_replay_state()
@@ -179,14 +181,14 @@ def test_chaos_mortality_parity_and_overhead(benchmark, suite_runs):
         backend_options=dict(QUEUE_OPTIONS),
     )
     clean_wall = time.perf_counter() - started
-    chaos = benchmark.pedantic(
+    chaos, seconds = measured(
         lambda: run_sweep(
             FULL_GRID, cache=cache, jobs=4,
             backend_options={**QUEUE_OPTIONS, "chaos": chaos_plan},
         ),
-        rounds=1, iterations=1,
+        rounds=1,
     )
-    chaos_wall = benchmark.stats.stats.mean
+    chaos_wall = seconds[0]
     assert _digest(clean) == _digest(serial)
     assert _digest(chaos) == _digest(serial)
     assert chaos.worker_deaths > 0, "chaos schedule killed nobody"

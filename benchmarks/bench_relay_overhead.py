@@ -154,7 +154,7 @@ def check_regression(history: list, current: float) -> tuple:
 # -- pytest-benchmark entry point --------------------------------------------
 
 
-def test_relay_overhead_within_bound(benchmark, suite_runs):
+def test_relay_overhead_within_bound(benchmark, measured, suite_runs):
     """Telemetered jobs=2 sweep: <=10% overhead, byte-identical grid."""
     cache = TraceCache(droidbench=suite_runs)
     cache.prime_replay_state()
@@ -170,11 +170,11 @@ def test_relay_overhead_within_bound(benchmark, suite_runs):
         hubs.append(hub)
         return run_sweep(SMOKE_GRID, cache=cache, jobs=JOBS, telemetry=hub)
 
-    relayed = benchmark.pedantic(telemetered, rounds=3, iterations=1)
+    relayed, seconds = measured(telemetered, rounds=3)
     assert _grid_digest(relayed) == _grid_digest(plain)
     accounting = _relay_accounting(hubs[-1])
     assert accounting["events_merged"] > 0  # worker telemetry merged
-    on_seconds = benchmark.stats.stats.min
+    on_seconds = min(seconds)
     ratio = off_seconds / on_seconds if on_seconds else 0.0
     print(f"\nrelay overhead: {off_seconds:.3f}s off vs {on_seconds:.3f}s on "
           f"(off/on {ratio:.3f}, floor {RATIO_FLOOR:.3f})")

@@ -218,7 +218,7 @@ def check_regression(history: list, current: float) -> tuple:
 # -- pytest-benchmark entry points ------------------------------------------
 
 
-def test_batch_replay_beats_per_event(benchmark, suite_runs):
+def test_batch_replay_beats_per_event(benchmark, measured, suite_runs):
     """The column fast path outruns per-event observe on the same work."""
     from repro.core.events import EventColumns
     from repro.core.tracker import PIFTTracker
@@ -247,9 +247,9 @@ def test_batch_replay_beats_per_event(benchmark, suite_runs):
     started = time.perf_counter()
     baseline = per_event()
     per_event_seconds = time.perf_counter() - started
-    fast = benchmark.pedantic(batched, rounds=3, iterations=1)
+    fast, seconds = measured(batched, rounds=3)
     assert fast == baseline  # identical accounting, only faster
-    batched_seconds = benchmark.stats.stats.mean
+    batched_seconds = sum(seconds) / len(seconds)
     speedup = per_event_seconds / batched_seconds
     print(f"\nbatch fast path: {per_event_seconds:.3f}s per-event vs "
           f"{batched_seconds:.3f}s batched ({speedup:.2f}x)")
@@ -258,7 +258,7 @@ def test_batch_replay_beats_per_event(benchmark, suite_runs):
     assert speedup > 1.0
 
 
-def test_vectorized_kernel_speedup(benchmark):
+def test_vectorized_kernel_speedup(benchmark, measured):
     """The numpy kernel must beat the scalar loop >= 5x on the synthetic
     mostly-untainted replay, with bit-identical observable results."""
     from repro.analysis.replay import replay
@@ -274,13 +274,13 @@ def test_vectorized_kernel_speedup(benchmark):
     started = time.perf_counter()
     scalar_result = replay(recorded, scalar_config)
     scalar_seconds = time.perf_counter() - started
-    vector_result = benchmark.pedantic(
-        lambda: replay(recorded, vector_config), rounds=3, iterations=1
+    vector_result, seconds = measured(
+        lambda: replay(recorded, vector_config), rounds=3
     )
     assert _replay_fingerprint(vector_result) == _replay_fingerprint(
         scalar_result
     )
-    vector_seconds = benchmark.stats.stats.mean
+    vector_seconds = sum(seconds) / len(seconds)
     speedup = scalar_seconds / vector_seconds
     print(f"\nvectorized kernel: {scalar_seconds:.3f}s scalar vs "
           f"{vector_seconds:.3f}s vectorized ({speedup:.1f}x)")

@@ -666,6 +666,8 @@ def cmd_faults(args) -> int:
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
     policy = OverflowPolicy(args.policy)
     _check_dispatcher_flags(args, [])
+    # The latency table's buffer is built only after the whole sweep.
+    _check_buffer_flags(args)
 
     telemetry = _make_telemetry(args)
     recorder = _attach_recorder(args, telemetry)
@@ -787,17 +789,24 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def _serve_router_kwargs(args) -> dict:
-    """ShardRouter construction kwargs shared by serve and fleet; exits
-    on FIFO parameters every shard would reject."""
-    from repro.core import OverflowPolicy
+def _check_buffer_flags(args, high_watermark=None, low_watermark=None) -> None:
+    """Exit with the rule's message on FIFO flags every buffer would
+    reject (:func:`~repro.core.config.checked_buffer_params`)."""
     from repro.core.config import checked_buffer_params
 
     try:
         checked_buffer_params(args.capacity, args.drain_batch,
-                              args.high_watermark, args.low_watermark)
+                              high_watermark, low_watermark)
     except ValueError as error:
         raise SystemExit(str(error))
+
+
+def _serve_router_kwargs(args) -> dict:
+    """ShardRouter construction kwargs shared by serve and fleet; exits
+    on FIFO parameters every shard would reject."""
+    from repro.core import OverflowPolicy
+
+    _check_buffer_flags(args, args.high_watermark, args.low_watermark)
     return {
         "workers": args.workers,
         "capacity": args.capacity,

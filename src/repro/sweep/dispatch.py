@@ -397,8 +397,11 @@ class QueueBackend:
     def run(self, pending, cache_payload: dict, note) -> DispatchStats:
         """Evaluate ``pending`` cells; returns dispatch accounting.
 
-        ``note`` is called exactly once per completed cell, in
-        completion order (the engine re-sorts into grid order).  Raises
+        Cells are leased in the order ``pending`` gives them (the engine
+        passes them by falling ``(NI, NT)``); retries re-enter after
+        their backoff.  ``note`` is called exactly once per completed
+        cell, in completion order (the engine returns results in
+        submission order).  Raises
         :class:`DispatchError` only when every retry avenue is exhausted
         with cells still outstanding.
         """

@@ -10,7 +10,9 @@ worker count*: cells are pure functions of ``(cell, trace cache)``, the
 cache is recorded once in the parent, per-cell seeds are fixed in the
 specs, and results are returned in submission order — so ``--jobs 8``
 may only change wall-clock time, never a verdict, a stat, or a fault
-draw.
+draw.  Cells are *evaluated* by falling ``(NI, NT)``, inline and in the
+dispatcher's lease order, so the journal, ``progress`` callbacks and
+``sweep_cell`` events follow that order, not the submission order.
 
 Worker-side evaluation mirrors :func:`repro.analysis.degradation
 .degradation_curve`'s per-point logic exactly (the rewired analysis entry
@@ -21,6 +23,9 @@ loop — parity between the two is covered by
 ``tests/unit/test_faults.py`` and ``tests/property/test_batch_parity.py``
 — and such a replay is skipped altogether when a :class:`ReplayTable`
 already holds one whose decision box covers the cell's ``(NI, NT)``.
+A box reaches from its replay's ``(NI, NT)`` down in ``NI`` and down in
+``NT`` (up as well, when the cap never bound), which is why cells are
+evaluated by falling ``(NI, NT)``.
 """
 
 from __future__ import annotations
@@ -249,8 +254,10 @@ def run_cell(
         state_spec=cell.state_spec,
     )
 
+    faulted = plan.enabled
+
     def track(recorded):
-        if plan.enabled:
+        if faulted:
             replayed, stats = faulted_replay(
                 recorded, cell.config, plan, state_factory=state_factory
             )
@@ -445,6 +452,14 @@ def run_sweep(
     values at those indexes, and the returned list is in submission
     order whatever order cells finish in.
 
+    Cells are evaluated by falling ``(NI, NT)`` (a stable sort, so equal
+    points keep submission order), inline and in the dispatcher's lease
+    order: a replay's decision box reaches only downward from its own
+    point, so each cell then comes after every cell that dominates it in
+    both axes and reuses its replays.  Journal lines, ``progress`` calls
+    and ``sweep_cell`` events follow evaluation order (at ``jobs > 1``,
+    completion order); no payload depends on it.
+
     With a ``journal`` (:class:`repro.store.RunJournal`) every finished
     cell is checkpointed — flushed and fsync'd — before it is reported,
     and cells the journal already holds are *not* re-evaluated: their
@@ -480,7 +495,13 @@ def run_sweep(
     if journal is not None:
         journal.check_matches(cells)
         done = journal.completed_results()
-    pending = [cell for cell in cells if cell.index not in done]
+    # Evaluation order, falling (NI, NT): each replay's decision box is
+    # then in the table before the cells it covers.
+    pending = sorted(
+        (cell for cell in cells if cell.index not in done),
+        key=lambda cell: (-cell.config.window_size,
+                          -cell.config.max_propagations),
+    )
     cache = cache or TraceCache()
     if pending:
         # A fully-journaled grid needs no recordings at all.

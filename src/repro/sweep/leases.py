@@ -112,7 +112,7 @@ class LeaseSupervisor:
 
     The dispatcher drives it with wall-clock ``now`` values; tests drive
     it with a fake clock.  One instance supervises one sweep's pending
-    cells:
+    cells, granted in the order given:
 
     * :meth:`next_ready` / :meth:`grant` hand cells to idle workers;
     * :meth:`heartbeat` renews every lease the worker holds;
@@ -158,7 +158,7 @@ class LeaseSupervisor:
         self._ready: List[Tuple[float, int, int]] = []
         self._current: Dict[int, Tuple[float, int]] = {}
         self._seq = 0
-        for index in sorted(self.cells):
+        for index in self.cells:
             self._push_ready(index, now)
 
     # -- ready queue -------------------------------------------------------

@@ -607,6 +607,25 @@ class TestFaultsCLI:
         # Satellite: forced_drops is surfaced through the JSON output.
         assert all("forced_drops" in row for row in payload["latency"])
 
+    @pytest.mark.parametrize("flag", ["--capacity", "--drain-batch"])
+    def test_bad_buffer_flags_exit_before_recording(self, flag, monkeypatch):
+        """The latency table builds its buffer only after the whole
+        sweep, so its FIFO flags are checked before anything records."""
+        import repro.analysis.degradation as degradation
+        import repro.apps.droidbench as droidbench
+        import repro.apps.malware as malware
+        from repro.__main__ import main
+
+        def record(*args, **kwargs):
+            raise AssertionError("recorded before checking the flags")
+
+        monkeypatch.setattr(droidbench, "record_suite", record)
+        monkeypatch.setattr(degradation, "record_malware_runs", record)
+        monkeypatch.setattr(malware, "record_lgroot_trace", record)
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--suite", "both", flag, "0"])
+        assert exc.value.code == "capacity and drain_batch must be >= 1"
+
     def test_faults_help(self, capsys):
         """``--help`` renders and exits 0 for ``faults`` and the other
         long-running commands: ``sweep``, ``serve`` and ``fleet``."""

@@ -58,8 +58,13 @@ class TestBackoffPolicy:
 
 
 class TestLeaseSupervisor:
-    def test_happy_path_grants_in_index_order_and_completes(self):
-        sup = supervisor(n=3)
+    # The engine hands cells over by falling (NI, NT), not by index.
+    @pytest.mark.parametrize("given", [[0, 1, 2], [2, 1, 0]],
+                             ids=["index_order", "reversed"])
+    def test_happy_path_grants_in_given_order_and_completes(self, given):
+        grid = cells(3)
+        sup = LeaseSupervisor([grid[i] for i in given], lease_timeout=10.0,
+                              max_retries=2)
         granted = []
         while True:
             cell = sup.next_ready(0.0)
@@ -67,7 +72,7 @@ class TestLeaseSupervisor:
                 break
             sup.grant(cell.index, worker=1, now=0.0)
             granted.append(cell.index)
-        assert granted == [0, 1, 2]
+        assert granted == given
         for index in granted:
             assert sup.complete(index)
         assert sup.done() and sup.outstanding() == 0

@@ -1,6 +1,7 @@
 """Tests for repro.sweep: specs, trace cache, and the parallel engine."""
 
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,11 @@ from repro.sweep import (
     run_cell,
     run_sweep,
 )
+from repro.sweep.engine import ReplayTable
+
+#: The paper's Figure 11 grid: 200 (NI, NT) cells.
+FIGURE_11 = GridSpec(window_sizes=tuple(range(1, 21)),
+                     propagation_caps=tuple(range(1, 11)))
 
 
 class TestSpecs:
@@ -175,6 +181,18 @@ class TestEngine:
         ]
         assert [cell.index for cell in result.cells] == [0, 1, 2]
 
+    def test_shuffled_grid_is_evaluated_by_falling_ni_then_nt(self, cache):
+        cells = list(FIGURE_11.cells())
+        random.Random(7).shuffle(cells)
+        seen = []
+        result = run_sweep(cells, cache=cache, progress=lambda cell, *_: (
+            seen.append((cell.config.window_size,
+                         cell.config.max_propagations))))
+        assert len(seen) == 200
+        assert seen == sorted(seen, reverse=True)
+        assert [cell.index for cell in result.cells] == [
+            cell.index for cell in cells]
+
     def test_timings_account_every_cell(self, cache):
         spec = GridSpec(window_sizes=(5, 13), propagation_caps=(2,))
         result = run_sweep(spec, cache=cache, jobs=1)
@@ -238,8 +256,7 @@ class TestReplayReuse:
 
     def cells(self):
         """DroidBench and malware, plain and bounded state, untainting on
-        and off, a colour cell and faulted cells, NI falling so boxes
-        cover later cells."""
+        and off, a colour cell and faulted cells."""
         cells = []
 
         def add(config, **kwargs):
@@ -259,12 +276,15 @@ class TestReplayReuse:
     def payloads(cells):
         return [json.dumps(cell.as_dict(), sort_keys=True) for cell in cells]
 
+    @pytest.mark.parametrize("order", ["given", "shuffled"])
     def test_cells_equal_an_empty_table_at_any_jobs_and_after_resume(
-        self, cache, tmp_path
+        self, cache, tmp_path, order
     ):
         from repro.store import RunJournal
 
         cells = self.cells()
+        if order == "shuffled":
+            random.Random(5).shuffle(cells)
         # run_cell alone starts from an empty table every time.
         fresh = self.payloads(run_cell(cell, cache) for cell in cells)
         inline = run_sweep(cells, cache=cache)
@@ -296,12 +316,30 @@ class TestReplayReuse:
             "replays_reused"] == 0
 
     def test_figure_11_grid_reuses_replays(self, cache):
-        result = run_sweep(GridSpec(window_sizes=tuple(range(1, 21)),
-                                    propagation_caps=tuple(range(1, 11))),
-                           cache=cache)
-        assert len(result.cells) == 200
-        timings = result.timings()
-        assert 0 < timings["replays_reused"] < 200 * 57
+        """Any submission order replays exactly what one table replays
+        over the grid by falling (NI, NT), and fewer than in grid order."""
+        grid = list(FIGURE_11.cells())
+        shuffled = list(grid)
+        random.Random(11).shuffle(shuffled)
+        pairs = len(grid) * len(cache.droidbench_runs())
+
+        def swept(cells):
+            result = run_sweep(cells, cache=cache)
+            assert len(result.cells) == 200
+            return pairs - result.timings()["replays_reused"]
+
+        def looped(cells):
+            replays = ReplayTable()
+            return pairs - sum(
+                run_cell(cell, cache, replays=replays).replays_reused
+                for cell in cells
+            )
+
+        replayed = looped(sorted(grid, key=lambda cell: (
+            -cell.config.window_size, -cell.config.max_propagations)))
+        assert [swept(grid), swept(grid[::-1]), swept(shuffled)] == [
+            replayed] * 3
+        assert 0 < replayed < looped(grid)
 
 
 class TestAnalysisRewire:
