@@ -6,10 +6,14 @@ argument and the accuracy trade it buys).
   frequent than arbitrary CPU operations" in event terms, and PIFT's
   actual state mutations are rarer still.
 * Accuracy: the byte-exact oracle and PIFT agree on every sink verdict of
-  the paper's running example at the (13, 3) operating point.
+  the paper's running example at the (13, 3) operating point.  Both are
+  read at each sink, when the recorded check ran: the baseline walks the
+  full-instruction trace by the replay rule PIFT's replay walks
+  (:func:`repro.analysis.replay.build_replay_plan`).
 """
 
-from repro.core import PAPER_DEFAULT, MemoryAccess, PIFTTracker
+from repro.analysis.replay import build_replay_plan, replay, replay_plan_for
+from repro.core import PAPER_DEFAULT, PIFTTracker
 from repro.android import AndroidDevice
 from repro.baseline import FullDIFTTracker
 from repro.dalvik import MethodBuilder
@@ -44,6 +48,54 @@ def _run_lgroot():
     device.install(sample.build(device, 64))
     device.run(sample.entry)
     return device
+
+
+def _exact_at_checks(device):
+    """``{id(check): (verdict, tainted ranges)}`` of the full-DIFT
+    baseline at each recorded check.
+
+    The plan's index column is each record's position: the run is one
+    process, whose instruction ``i`` is ``records[i]``.
+    """
+    records = device.full_trace.records
+    recorded = device.recorded
+    # FullDIFTTracker keeps one PID-blind state.
+    assert all(
+        event.pid == 0 for event in (*recorded.sources, *recorded.sink_checks)
+    )
+    assert len(records) == recorded.instruction_count
+    plan = build_replay_plan(
+        range(len(records)), recorded.sources, recorded.sink_checks,
+        len(records),
+    )
+    baseline = FullDIFTTracker()
+    at_checks = {}
+    for lo, hi, sources, checks in plan.steps:
+        baseline.run(records[lo:hi])
+        for source in sources:
+            baseline.taint_source(source.address_range)
+        for check in checks:
+            at_checks[id(check)] = (
+                baseline.check(check.address_range),
+                baseline.memory_taint.copy(),
+            )
+    return at_checks
+
+
+def _pift_states_at_checks(device):
+    """``{id(check): taint state}`` of PIFT replayed at the paper's
+    default point, read at each recorded check."""
+    recorded = device.recorded
+    columns = recorded.trace.columns()
+    tracker = PIFTTracker(PAPER_DEFAULT)
+    states = {}
+    for lo, hi, sources, checks in replay_plan_for(recorded).steps:
+        tracker.observe_columns(columns, lo, hi)
+        for source in sources:
+            tracker.taint_source(source.address_range, pid=source.pid)
+        for check in checks:
+            states[id(check)] = tracker.state(check.pid).copy()
+    return states
 
 
 def test_event_rate_comparison(benchmark):
@@ -82,42 +134,47 @@ def test_event_rate_comparison(benchmark):
 
 def test_verdict_agreement_with_oracle(benchmark):
     device = benchmark.pedantic(_run_example, rounds=1, iterations=1)
-    baseline = FullDIFTTracker()
-    for source in device.recorded.sources:
-        baseline.taint_source(source.address_range)
-    baseline.run(device.full_trace.records)
-    for check in device.recorded.sink_checks:
-        oracle_verdict = baseline.check(check.address_range)
-        pift_verdict = device.hw.tracker.check(check.address_range)
+    exact = _exact_at_checks(device)
+    outcomes = replay(device.recorded, PAPER_DEFAULT).sink_outcomes
+    # Replay answers the checks in the plan's (instruction) order.
+    checks = sorted(
+        device.recorded.sink_checks, key=lambda c: c.instruction_index
+    )
+    assert len(outcomes) == len(checks) > 0
+    for check, outcome in zip(checks, outcomes):
+        oracle_verdict = exact[id(check)][0]
         print(
-            f"\nsink {check.sink_name}: oracle={oracle_verdict} "
-            f"pift={pift_verdict}"
+            f"\nsink {check.sink_name} at instruction "
+            f"{check.instruction_index}: oracle={oracle_verdict} "
+            f"pift={outcome.tainted}"
         )
-        assert oracle_verdict == pift_verdict
+        assert oracle_verdict == outcome.tainted
 
 
 def test_pift_state_is_superset_at_sink(benchmark):
-    """PIFT deliberately over-taints: the oracle's tainted bytes at the
-    sink are a subset of PIFT's (no under-tainting on this flow)."""
+    """PIFT deliberately over-taints: the oracle's tainted bytes at each
+    sink are a subset of PIFT's there (no under-tainting on this flow)."""
     device = benchmark.pedantic(_run_example, rounds=1, iterations=1)
-    baseline = FullDIFTTracker()
-    for source in device.recorded.sources:
-        baseline.taint_source(source.address_range)
-    baseline.run(device.full_trace.records)
-    pift_state = device.hw.tracker.state(0)
-    missing = 0
-    for oracle_range in baseline.memory_taint:
-        for address in range(oracle_range.start, oracle_range.end + 1):
-            if not pift_state.covers_address(address):
-                missing += 1
-    oracle_bytes = baseline.tainted_bytes
-    pift_bytes = device.hw.tracker.tainted_bytes
-    print(
-        f"\noracle tainted bytes: {oracle_bytes}, "
-        f"PIFT tainted bytes: {pift_bytes}, "
-        f"oracle bytes PIFT misses: {missing}"
-    )
-    assert pift_bytes >= oracle_bytes
-    # The sink-relevant flow is fully covered (small incidental gaps from
-    # untainting clean overwrites are acceptable).
-    assert missing <= oracle_bytes * 0.2
+    exact = _exact_at_checks(device)
+    pift_states = _pift_states_at_checks(device)
+    assert device.recorded.sink_checks
+    for check in device.recorded.sink_checks:
+        oracle_state = exact[id(check)][1]
+        pift_state = pift_states[id(check)]
+        missing = 0
+        for oracle_range in oracle_state:
+            for address in range(oracle_range.start, oracle_range.end + 1):
+                if not pift_state.covers_address(address):
+                    missing += 1
+        oracle_bytes = oracle_state.total_size
+        pift_bytes = pift_state.total_size
+        print(
+            f"\nsink {check.sink_name} at instruction "
+            f"{check.instruction_index}: oracle tainted bytes "
+            f"{oracle_bytes}, PIFT tainted bytes {pift_bytes}, "
+            f"oracle bytes PIFT misses: {missing}"
+        )
+        assert pift_bytes >= oracle_bytes
+        # The sink-relevant flow is fully covered (small incidental gaps
+        # from untainting clean overwrites are acceptable).
+        assert missing <= oracle_bytes * 0.2

@@ -15,7 +15,7 @@ price is *time* — and this benchmark bounds that price:
    taint store ORs new bits into covered ranges (mask churn defeats
    interval coalescing; measured overhead sits near ~4x here vs ~1x on
    phase-local traces, where one colour dominates at a time and
-   intervals coalesce back to plain-RangeSet structure).
+   intervals coalesce back to the plain tracker's rows, all mask 1).
 2. **Union parity** — the coloured replay's verdict bits must equal the
    plain replay's, cell for cell, on the same trace (the differential
    suite's oracle, re-checked here so the timing claim is about
@@ -71,7 +71,7 @@ def coloured_recorded_run(events: int = 120_000, seed: int = 2026):
     across the sources and stores into the shared scratch buffer, so
     windows of different colours interleave and commits carry distinct
     masks — the worst realistic case for per-interval mask bookkeeping
-    (single-colour traces coalesce back to plain-RangeSet structure).
+    (single-colour traces coalesce back to the plain tracker's rows).
     """
     from repro.android.device import (
         RecordedRun, SinkCheck, SourceRegistration,

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.config import PIFTConfig
 from repro.core.ranges import RangeSet
@@ -114,14 +116,20 @@ class ReplayPlan:
     steps: Tuple[ReplayStep, ...]
 
 
-def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
-    """Walk ``recorded`` once; every config replays the same plan."""
-    sources = tuple(
-        sorted(recorded.sources, key=lambda s: s.instruction_index)
-    )
-    checks = tuple(
-        sorted(recorded.sink_checks, key=lambda c: c.instruction_index)
-    )
+def build_replay_plan(
+    indices: Sequence[int],
+    sources: Iterable,
+    checks: Iterable,
+    instruction_count: int,
+) -> ReplayPlan:
+    """The plan over an event stream whose instruction indices are
+    ``indices``, for ``sources`` and ``checks`` (each with an
+    ``instruction_index``) in a run of ``instruction_count``
+    instructions.  A recorded run's plan is :func:`replay_plan_for`'s;
+    any other per-instruction stream (the full-DIFT baseline's
+    execution records) walks this same rule."""
+    sources = tuple(sorted(sources, key=lambda s: s.instruction_index))
+    checks = tuple(sorted(checks, key=lambda c: c.instruction_index))
     # Instruction indices at which each source/check falls due, each
     # list closed by an infinite sentinel so the scans need no bounds.
     source_at = [s.instruction_index for s in sources] + [math.inf]
@@ -142,13 +150,12 @@ def build_replay_plan(recorded: RecordedRun) -> ReplayPlan:
         ))
         lo = hi
 
-    indices = recorded.trace.columns().indices
     due = min(source_at[0], check_at[0])
     for position, upto in enumerate(indices):
         if upto >= due:
             close(position, upto)
             due = min(source_at[source_i], check_at[check_i])
-    close(len(indices), recorded.instruction_count)
+    close(len(indices), instruction_count)
     return ReplayPlan(sources=sources, steps=tuple(steps))
 
 
@@ -161,7 +168,10 @@ def replay_plan_for(recorded: RecordedRun) -> ReplayPlan:
         len(recorded.trace),
     )
     if cached is None or cached[0] != key:
-        recorded._replay_plan = (key, build_replay_plan(recorded))
+        recorded._replay_plan = (key, build_replay_plan(
+            recorded.trace.columns().indices, recorded.sources,
+            recorded.sink_checks, recorded.instruction_count,
+        ))
         cached = recorded._replay_plan
     return cached[1]
 

@@ -12,7 +12,8 @@ Layering, top to bottom (Figure 3):
 * :class:`~repro.core.hw.PIFTHardwareModule` /
   :class:`~repro.core.hw.PIFTFrontEnd` — the on-chip engine and CPU hooks,
 * :class:`~repro.core.tracker.PIFTTracker` — Algorithm 1 itself, over
-  :class:`~repro.core.ranges.RangeSet` or a bounded
+  :class:`~repro.core.ranges.RangeSet` (whose ranges carry the colour
+  masks of :class:`~repro.core.tracker.ColourTracker`) or a bounded
   :class:`~repro.core.taint_storage.BoundedRangeCache`.
 """
 
@@ -22,7 +23,7 @@ from repro.core.buffered import (
     ImmediateVerdict,
     LateDetection,
 )
-from repro.core.colours import ColourRangeSet, ColourSpace
+from repro.core.colours import ColourSpace
 from repro.core.config import (
     PAPER_DEFAULT,
     PAPER_MALWARE_MINIMUM,
@@ -87,7 +88,6 @@ __all__ = [
     "BufferStats",
     "BufferedPIFT",
     "ColourProvenance",
-    "ColourRangeSet",
     "ColourSpace",
     "ColourTracker",
     "ColumnArrays",

@@ -91,19 +91,15 @@ def _chance(seed: int, site: int, ordinal: int) -> float:
     return _mix(seed, site, ordinal) / 2.0**64
 
 
-def mix64(seed: int, stream: int, ordinal: int) -> int:
-    """Public splitmix64 stream: a 64-bit hash of (seed, stream, ordinal).
+def chance64(seed: int, stream: int, ordinal: int) -> float:
+    """Uniform [0, 1) draw from the public splitmix64 stream over
+    (seed, stream, ordinal).
 
     Other subsystems (sweep retry-backoff jitter, the chaos harness)
     draw from the same generator family as the fault injector so every
     kill/retry decision is a pure function of its inputs and a seeded
     run replays bit-for-bit.
     """
-    return _mix(seed, stream, ordinal)
-
-
-def chance64(seed: int, stream: int, ordinal: int) -> float:
-    """Uniform [0, 1) draw from the public splitmix64 stream."""
     return _chance(seed, stream, ordinal)
 
 

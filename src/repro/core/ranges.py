@@ -11,7 +11,12 @@ addresses.  Three operations dominate:
 
 ``RangeSet`` keeps ranges sorted, coalesced, and non-overlapping, so the
 number of *distinct ranges* it reports matches what the paper's Figure 17/19
-measure, and the total tainted size matches Figures 14/15/18.
+measure, and the total tainted size matches Figures 14/15/18.  Each range
+also carries a 64-bit colour mask, the multi-bit tag of multi-tag DIFT
+hardware: the plain tracker taints with mask 1, the coloured one with
+each source's bit (:mod:`repro.core.colours`), and neighbours coalesce
+only when their masks are equal, so one colour gives exactly the
+single-bit set R.
 """
 
 from __future__ import annotations
@@ -136,21 +141,31 @@ class AddressRange:
 
 
 class RangeSet:
-    """A sorted, coalesced set of disjoint :class:`AddressRange` objects.
+    """A sorted set of disjoint :class:`AddressRange` rows, each carrying
+    a colour mask.
 
-    This is the *reference* (software) taint state used by the tracker.  The
-    hardware-constrained variants in :mod:`repro.core.taint_storage` mirror
-    its interface but add capacity limits and eviction.
+    This is the unbounded taint state of the plain and the coloured
+    tracker alike: the plain one taints with mask 1 (the default), the
+    coloured one with each source's bit
+    (:class:`~repro.core.colours.ColourSpace`).  Neighbours that touch
+    or overlap merge only when their masks are **equal**; an overlapping
+    add ORs its mask over the intersection and splits at the boundaries,
+    and an untaint removes every colour.  Byte coverage (``overlaps``,
+    ``total_size``) never reads a mask, so with one colour the rows are
+    exactly the coalesced ranges of the paper's set R.  The hardware
+    models in :mod:`repro.core.taint_storage` offer the same surface with
+    capacity limits and eviction.
 
-    Internally two parallel lists of starts and ends are kept sorted, so
-    overlap queries are ``O(log n)`` and mutations are ``O(n)`` in the worst
-    case — fine for the range counts PIFT exhibits (well under a few
-    thousand, per the paper's Figure 17).
+    Parallel lists of starts, ends and masks are kept sorted, so overlap
+    queries are ``O(log n)`` and mutations ``O(n)`` in the worst case —
+    fine for the range counts PIFT exhibits (well under a few thousand,
+    per the paper's Figure 17).
     """
 
     def __init__(self, ranges: Iterable[AddressRange] = ()) -> None:
         self._starts: List[int] = []
         self._ends: List[int] = []
+        self._masks: List[int] = []
         #: Mutation counter; lets derived views (the numpy mirror used by
         #: :mod:`repro.core.vectorized`) detect staleness without hashing.
         self._version: int = 0
@@ -174,22 +189,36 @@ class RangeSet:
         for start, end in zip(self._starts, self._ends):
             yield AddressRange(start, end)
 
+    def items(self) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(start, end, mask)`` triples in address order."""
+        return zip(self._starts, self._ends, self._masks)
+
     def __contains__(self, item: AddressRange) -> bool:
-        """True when ``item`` is fully covered by a single stored range."""
-        idx = bisect.bisect_right(self._starts, item.end) - 1
-        return (
-            idx >= 0
-            and self._starts[idx] <= item.start
-            and item.end <= self._ends[idx]
-        )
+        """True when every byte of ``item`` is tainted, in any colour."""
+        starts, ends = self._starts, self._ends
+        idx = bisect.bisect_right(starts, item.end) - 1
+        if idx < 0 or ends[idx] < item.end:
+            return False
+        while starts[idx] > item.start:
+            if idx == 0 or ends[idx - 1] + 1 != starts[idx]:
+                return False
+            idx -= 1
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RangeSet):
             return NotImplemented
-        return self._starts == other._starts and self._ends == other._ends
+        return (
+            self._starts == other._starts
+            and self._ends == other._ends
+            and self._masks == other._masks
+        )
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(r) for r in self)
+        inner = ", ".join(
+            f"[{s:#x}, {e:#x}]" + (f"#{m:x}" if m != 1 else "")
+            for s, e, m in self.items()
+        )
         return f"RangeSet({inner})"
 
     @property
@@ -215,11 +244,6 @@ class RangeSet:
         idx = bisect.bisect_right(self._starts, end) - 1
         return idx >= 0 and self._ends[idx] >= start
 
-    #: The tracker's window-opening lookup: a single-bit state's only
-    #: colour is "tainted", so a hit is ``True == 1``.
-    mask_overlapping = overlaps
-    mask_overlapping_span = overlaps_span
-
     def overlapping(self, query: AddressRange) -> List[AddressRange]:
         """All stored ranges that overlap ``query`` (for sink diagnostics)."""
         result: List[AddressRange] = []
@@ -232,6 +256,23 @@ class RangeSet:
 
     def covers_address(self, address: int) -> bool:
         return self.overlaps(AddressRange(address, address))
+
+    def mask_overlapping(self, query: AddressRange) -> int:
+        """OR of the masks of every stored range overlapping ``query``."""
+        return self.mask_overlapping_span(query.start, query.end)
+
+    def mask_overlapping_span(self, start: int, end: int) -> int:
+        """OR of the masks of every stored range overlapping ``[start, end]``.
+
+        The tracker's window-opening lookup: zero means untainted, and
+        the set bits name the contributing sources.
+        """
+        mask = 0
+        idx = bisect.bisect_right(self._starts, end) - 1
+        while idx >= 0 and self._ends[idx] >= start:
+            mask |= self._masks[idx]
+            idx -= 1
+        return mask
 
     def as_arrays(self):
         """Sorted ``(starts, ends)`` int64 numpy mirror of the stored ranges.
@@ -253,32 +294,97 @@ class RangeSet:
             self._np_mirror = mirror
         return mirror[1], mirror[2]
 
-
     # -- mutations -------------------------------------------------------
 
     def add(self, item: AddressRange, mask: int = 1) -> None:
-        """Taint ``item`` (see :meth:`add_span`)."""
+        """Taint ``item`` with ``mask`` (see :meth:`add_span`)."""
         self.add_span(item.start, item.end, mask)
 
     def add_span(self, start: int, end: int, mask: int = 1) -> None:
-        """Taint ``[start, end]``, merging with overlapping/adjacent ranges.
-
-        ``mask`` is the tracker's window colour; a single-bit set has no
-        colours to keep, so it is accepted and ignored.
-        """
-        # Find the window of stored ranges that the new range touches
-        # (overlap or adjacency), then replace them with one merged range.
-        lo = bisect.bisect_left(self._ends, start - 1 if start else 0)
-        hi = bisect.bisect_right(self._starts, end + 1)
-        absorbed = 0
-        if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
-            for i in range(lo, hi):
-                absorbed += self._ends[i] - self._starts[i] + 1
-        self._starts[lo:hi] = [start]
-        self._ends[lo:hi] = [end]
-        self._total += end - start + 1 - absorbed
+        """Taint ``[start, end]`` with ``mask``: OR into overlapped
+        intervals (splitting at the boundaries), fill gaps, then locally
+        coalesce equal-mask neighbours."""
+        if mask == 0:
+            raise ValueError("colour mask must be non-zero")
+        starts, ends, masks = self._starts, self._ends, self._masks
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
+        if lo == hi:
+            # Gap insert: no stored range overlaps.  Coalesce into the
+            # adjacent neighbour(s) when their masks equal ours.
+            prev_joins = (
+                lo > 0 and masks[lo - 1] == mask
+                and ends[lo - 1] + 1 == start
+            )
+            next_joins = (
+                lo < len(starts) and masks[lo] == mask
+                and end + 1 == starts[lo]
+            )
+            if prev_joins and next_joins:
+                ends[lo - 1] = ends[lo]
+                del starts[lo], ends[lo], masks[lo]
+            elif prev_joins:
+                ends[lo - 1] = end
+            elif next_joins:
+                starts[lo] = start
+            else:
+                starts.insert(lo, start)
+                ends.insert(lo, end)
+                masks.insert(lo, mask)
+            self._total += end - start + 1
+            self._version += 1
+            return
+        if (
+            hi == lo + 1
+            and starts[lo] <= start
+            and ends[lo] >= end
+            and masks[lo] & mask == mask
+        ):
+            # Fully absorbed: one covering range already carries every
+            # bit we would OR in.  Nothing changes — not even the
+            # version, so the numpy mirror stays cached (this is the
+            # steady-state hot path of the scalar loop).
+            return
+        pieces: List[Tuple[int, int, int]] = []
+        cursor = start
+        added = 0
+        for i in range(lo, hi):
+            s, e, m = starts[i], ends[i], masks[i]
+            if s > cursor:
+                pieces.append((cursor, s - 1, mask))
+                added += s - cursor
+            if s < start:
+                pieces.append((s, start - 1, m))
+            pieces.append((max(s, start), min(e, end), m | mask))
+            if e > end:
+                pieces.append((end + 1, e, m))
+            cursor = min(e, end) + 1
+        if cursor <= end:
+            pieces.append((cursor, end, mask))
+            added += end - cursor + 1
+        merged: List[List[int]] = []
+        for s, e, m in pieces:
+            if merged and merged[-1][2] == m and merged[-1][1] + 1 == s:
+                merged[-1][1] = e
+            else:
+                merged.append([s, e, m])
+        starts[lo:hi] = [p[0] for p in merged]
+        ends[lo:hi] = [p[1] for p in merged]
+        masks[lo:hi] = [p[2] for p in merged]
+        # Boundary coalesce with the untouched neighbours on either side.
+        right = lo + len(merged) - 1
+        if 0 <= right < len(starts) - 1 and (
+            masks[right] == masks[right + 1]
+            and ends[right] + 1 == starts[right + 1]
+        ):
+            ends[right] = ends[right + 1]
+            del starts[right + 1], ends[right + 1], masks[right + 1]
+        if lo > 0 and lo <= len(starts) - 1 and (
+            masks[lo - 1] == masks[lo] and ends[lo - 1] + 1 == starts[lo]
+        ):
+            ends[lo - 1] = ends[lo]
+            del starts[lo], ends[lo], masks[lo]
+        self._total += added
         self._version += 1
 
     def remove(self, item: AddressRange) -> None:
@@ -286,24 +392,30 @@ class RangeSet:
         self.remove_span(item.start, item.end)
 
     def remove_span(self, start: int, end: int) -> None:
-        """Untaint ``[start, end]``, splitting stored ranges that straddle it."""
-        lo = bisect.bisect_left(self._ends, start)
-        hi = bisect.bisect_right(self._starts, end)
+        """Untaint ``[start, end]`` wholesale — every colour at once.
+        Straddling intervals split; the remnants keep their masks."""
+        starts, ends, masks = self._starts, self._ends, self._masks
+        lo = bisect.bisect_left(ends, start)
+        hi = bisect.bisect_right(starts, end)
         if lo >= hi:
             return
         removed = 0
         for i in range(lo, hi):
-            removed += self._ends[i] - self._starts[i] + 1
+            removed += ends[i] - starts[i] + 1
         new_starts: List[int] = []
         new_ends: List[int] = []
-        if self._starts[lo] < start:
-            new_starts.append(self._starts[lo])
+        new_masks: List[int] = []
+        if starts[lo] < start:
+            new_starts.append(starts[lo])
             new_ends.append(start - 1)
-        if end < self._ends[hi - 1]:
+            new_masks.append(masks[lo])
+        if end < ends[hi - 1]:
             new_starts.append(end + 1)
-            new_ends.append(self._ends[hi - 1])
-        self._starts[lo:hi] = new_starts
-        self._ends[lo:hi] = new_ends
+            new_ends.append(ends[hi - 1])
+            new_masks.append(masks[hi - 1])
+        starts[lo:hi] = new_starts
+        ends[lo:hi] = new_ends
+        masks[lo:hi] = new_masks
         self._total += sum(
             e - s + 1 for s, e in zip(new_starts, new_ends)
         ) - removed
@@ -312,6 +424,7 @@ class RangeSet:
     def clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
+        self._masks.clear()
         self._total = 0
         self._version += 1
 
@@ -319,6 +432,7 @@ class RangeSet:
         clone = RangeSet()
         clone._starts = list(self._starts)
         clone._ends = list(self._ends)
+        clone._masks = list(self._masks)
         clone._total = self._total
         return clone
 
@@ -335,8 +449,7 @@ class RangeSet:
             return None
         idx = n % len(self._starts)
         victim = AddressRange(self._starts[idx], self._ends[idx])
-        del self._starts[idx]
-        del self._ends[idx]
+        del self._starts[idx], self._ends[idx], self._masks[idx]
         self._total -= victim.size
         self._version += 1
         return victim
@@ -344,18 +457,33 @@ class RangeSet:
     # -- checkpoint / restore --------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-compatible checkpoint of the exact stored ranges."""
-        return {"starts": list(self._starts), "ends": list(self._ends)}
+        """JSON-compatible checkpoint of the exact stored rows."""
+        return {
+            "starts": list(self._starts),
+            "ends": list(self._ends),
+            "masks": list(self._masks),
+        }
 
     def restore(self, snapshot: dict) -> None:
         """Replace contents with a :meth:`snapshot` payload, exactly.
 
-        The rows are checked first (:func:`checked_rows`); a malformed
-        one raises :class:`ValueError` and leaves the set as it was.
+        The rows are checked first (:func:`checked_rows`), and each mask
+        must be a non-zero ``uint64``; a snapshot without masks (as
+        builds before colours joined this class wrote) restores as
+        colour 1.  A malformed payload raises :class:`ValueError` and
+        leaves the set as it was.
         """
-        self._starts, self._ends = checked_rows(
+        starts, ends = checked_rows(
             snapshot["starts"], snapshot["ends"], "snapshot ranges"
         )
+        masks = snapshot.get("masks", [1] * len(starts))
+        if type(masks) is not list or len(masks) != len(starts) or not all(
+            type(mask) is int and 0 < mask < 1 << 64 for mask in masks
+        ):
+            raise ValueError(
+                "snapshot masks must be one non-zero 64-bit mask per range"
+            )
+        self._starts, self._ends, self._masks = starts, ends, list(masks)
         self._total = sum(
             e - s + 1 for s, e in zip(self._starts, self._ends)
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import vectorized
-from repro.core.colours import ColourRangeSet, ColourSpace
+from repro.core.colours import ColourSpace
 from repro.core.config import PIFTConfig
 from repro.core.events import (
     EventColumns,
@@ -40,13 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 _VECTORIZED_MIN_EVENTS = 512
 
 #: Any object with the RangeSet mutation/query surface can back the tracker —
-#: the software-reference ``RangeSet``, the coloured ``ColourRangeSet``, or a
-#: hardware model from :mod:`repro.core.taint_storage`.
+#: the unbounded ``RangeSet`` (plain or coloured alike) or a hardware model
+#: from :mod:`repro.core.taint_storage`.
 StateFactory = Callable[[], "TaintStateLike"]
-
-#: Taint states the numpy kernel can drive: the unbounded interval sets,
-#: whose queries have no side effects and which keep numpy mirrors.
-_KERNEL_STATES = (RangeSet, ColourRangeSet)
 
 
 class TaintStateLike:
@@ -55,8 +51,10 @@ class TaintStateLike:
     Algorithm 1 runs once, carrying a colour mask: a load opens a window
     with ``mask_overlapping_span``'s result when it is non-zero, and
     in-window stores ``add_span`` their target with that window mask.
-    Single-bit states bind ``mask_overlapping_span = overlaps_span`` (a
-    hit is ``True == 1``) and accept the mask without using it.
+    :class:`~repro.core.ranges.RangeSet` keeps the mask on every range;
+    the single-bit :class:`~repro.core.taint_storage.BoundedRangeCache`
+    binds ``mask_overlapping_span = overlaps_span`` (a hit is
+    ``True == 1``) and accepts the mask without using it.
 
     Every entry point takes the inclusive int pair ``(start, end)`` the
     event columns carry.  The states in this package also offer each one
@@ -247,8 +245,9 @@ class _WindowState:
     #: single global high-water mark.
     instructions_retired: int = 0
     #: Colour mask carried by the live window (the OR of the masks of
-    #: every tainted range the window-opening load overlapped).  Single-bit
-    #: states report a hit as ``True`` and ignore the mask on ``add``.
+    #: every tainted range the window-opening load overlapped).  A
+    #: single-bit state reports a hit as ``True`` and ignores the mask
+    #: on ``add``.
     colour_mask: int = 0
 
 
@@ -486,6 +485,8 @@ class PIFTTracker:
                     "last_tainted_load": window.last_tainted_load,
                     "propagations": window.propagations,
                     "instructions_retired": window.instructions_retired,
+                    # A single-bit state's hit is ``True``.
+                    "colour_mask": int(window.colour_mask),
                 }
                 for pid, window in self._windows.items()
             },
@@ -555,8 +556,19 @@ class PIFTTracker:
         self._most_taints = config.max_propagations
 
     def _restored_window(self, payload: dict) -> _WindowState:
-        """One snapshot ``windows`` entry as window state, checked."""
+        """One snapshot ``windows`` entry as window state, checked.
+
+        The window's ``colour_mask`` must be a ``uint64``; a snapshot
+        without one (as builds before colour masks reached the plain
+        tracker wrote) gives a live window mask 1, so its in-window adds
+        stay well-formed.
+        """
         last = payload["last_tainted_load"]
+        mask = payload.get("colour_mask", 0 if last is None else 1)
+        if type(mask) is not int or not 0 <= mask < 1 << 64:
+            raise ValueError(
+                f"snapshot window colour_mask must be a uint64, got {mask!r}"
+            )
         return _WindowState(
             last_tainted_load=None if last is None else checked_int64(
                 last, "snapshot window last_tainted_load"
@@ -568,6 +580,7 @@ class PIFTTracker:
                 payload.get("instructions_retired", 0),
                 "snapshot window instructions_retired",
             ),
+            colour_mask=mask,
         )
 
     @property
@@ -671,9 +684,8 @@ class PIFTTracker:
 
         * the vectorised pre-filter kernel (:mod:`repro.core.vectorized`)
           when ``config.vectorized`` is on, the slice is long enough to
-          amortise the numpy setup, and the taint backend is an
-          unbounded interval set (:class:`~repro.core.ranges.RangeSet`
-          or :class:`~repro.core.colours.ColourRangeSet`; bounded
+          amortise the numpy setup, and the taint backend is the
+          unbounded :class:`~repro.core.ranges.RangeSet` (bounded
           hardware models mutate on queries/eviction, so skipping their
           calls would change behaviour);
         * the scalar loop (:meth:`observe_columns_scalar`) otherwise.
@@ -683,7 +695,7 @@ class PIFTTracker:
         if (
             self.config.vectorized
             and stop - start >= _VECTORIZED_MIN_EVENTS
-            and self._state_factory in _KERNEL_STATES
+            and self._state_factory is RangeSet
         ):
             vectorized.observe_columns(self, columns, start, stop)
         else:
@@ -697,8 +709,7 @@ class PIFTTracker:
         """Force the numpy pre-filter kernel regardless of slice length.
 
         Differential-test / benchmark hook; requires numpy and
-        :class:`~repro.core.ranges.RangeSet`- or
-        :class:`~repro.core.colours.ColourRangeSet`-backed taint states.
+        :class:`~repro.core.ranges.RangeSet`-backed taint states.
         """
         if stop is None:
             stop = len(columns)
@@ -851,8 +862,8 @@ class ColourTracker(PIFTTracker):
     """Algorithm 1 with per-source provenance labels ("colours").
 
     Sources register with a colour name (:meth:`taint_source`'s
-    ``colour``); taint state is a :class:`~repro.core.colours.ColourRangeSet`
-    whose intervals carry 64-bit colour masks.  A tainted load's window
+    ``colour``) and taint with that name's bit of a 64-bit mask, which the
+    :class:`~repro.core.ranges.RangeSet` rows carry.  A tainted load's window
     carries the OR of every overlapped range's mask; in-window stores
     taint their target with that window mask; untainting removes bytes
     wholesale — so the tainted/untainted *classification* of every event
@@ -867,9 +878,8 @@ class ColourTracker(PIFTTracker):
 
     Sink queries gain :meth:`check_mask` / :meth:`check_colours` for
     attribution; the inherited boolean :meth:`check` is unchanged.
-    Algorithm 1 itself is :class:`PIFTTracker`'s: its window already
-    carries the mask that :class:`~repro.core.colours.ColourRangeSet`
-    reports.
+    Algorithm 1, the taint state and the window snapshot are all
+    :class:`PIFTTracker`'s; this class adds the colour registry.
     """
 
     # The shared bodies, bound by name: the benchmark's layer tracer
@@ -887,10 +897,7 @@ class ColourTracker(PIFTTracker):
         telemetry: Optional["Telemetry"] = None,
     ) -> None:
         super().__init__(
-            config,
-            state_factory=ColourRangeSet,
-            record_timeline=record_timeline,
-            telemetry=telemetry,
+            config, record_timeline=record_timeline, telemetry=telemetry
         )
         self.colours = colours if colours is not None else ColourSpace()
 
@@ -929,14 +936,12 @@ class ColourTracker(PIFTTracker):
 
     def snapshot(self) -> dict:
         snap = super().snapshot()
-        for pid, window in self._windows.items():
-            snap["windows"][pid]["colour_mask"] = window.colour_mask
         snap["colours"] = self.colours.snapshot()
         return snap
 
     def restore(self, snapshot: dict) -> None:
-        """:meth:`PIFTTracker.restore`, plus window colour masks (each a
-        ``uint64``) and the colour registry, all checked first."""
+        """:meth:`PIFTTracker.restore`, plus the colour registry, all
+        checked first."""
         colours = self.colours
         if "colours" in snapshot:
             colours = ColourSpace.from_snapshot(
@@ -944,21 +949,6 @@ class ColourTracker(PIFTTracker):
             )
         super().restore(snapshot)
         self.colours = colours
-
-    def _restored_window(self, payload: dict) -> _WindowState:
-        window = super()._restored_window(payload)
-        # Snapshots from a plain tracker carry no mask; a live window
-        # restored from one defaults to the first colour so in-window
-        # adds stay well-formed.
-        mask = payload.get(
-            "colour_mask", 1 if window.last_tainted_load is not None else 0
-        )
-        if type(mask) is not int or not 0 <= mask < 1 << 64:
-            raise ValueError(
-                f"snapshot window colour_mask must be a uint64, got {mask!r}"
-            )
-        window.colour_mask = mask
-        return window
 
 
 def track_trace(

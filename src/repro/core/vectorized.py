@@ -39,10 +39,9 @@ Soundness argument (the property suite in
   set, so a stale classification stays conservative, never unsound.
 
 The kernel is an execution strategy, not a semantics change: it requires
-an unbounded interval-set backend, :class:`~repro.core.ranges.RangeSet` or
-:class:`~repro.core.colours.ColourRangeSet` (bounded hardware models
-mutate on eviction inside ``add`` and may keep LRU state, so skipping
-their queries would change behaviour).  A telemetry hub does not change
+the unbounded :class:`~repro.core.ranges.RangeSet`, plain or coloured
+alike (bounded hardware models mutate on eviction inside ``add`` and may
+keep LRU state, so skipping their queries would change behaviour).  A telemetry hub does not change
 the route: the tracker publishes its counters once per call, after the
 kernel returns.
 """

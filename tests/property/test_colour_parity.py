@@ -112,7 +112,7 @@ def colour_fingerprint(tracker: ColourTracker) -> str:
 
 
 def merged_coverage(snapshot_state: dict):
-    """Mask-blind coalesce of a ColourRangeSet snapshot — the union
+    """Mask-blind coalesce of a coloured RangeSet snapshot — the union
     projection's interval structure."""
     merged = []
     for start, end in zip(snapshot_state["starts"], snapshot_state["ends"]):

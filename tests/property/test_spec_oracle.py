@@ -5,7 +5,7 @@ window logic that lives in every path at once passes them all.  This
 oracle is written from the paper, not from the production data
 structures: taint is a ``dict`` of byte -> colour mask per PID, and the
 window is ``(last tainted load, propagations, mask)`` with both edges
-checked.  It imports no ``RangeSet``, ``ColourRangeSet``, numpy or
+checked.  It imports no ``RangeSet``, numpy or
 ``repro.core.vectorized``.
 
 Hypothesis drives the plain and the coloured tracker through per-event

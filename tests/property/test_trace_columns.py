@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import tracefile
 from repro.analysis.accuracy import AppRun
-from repro.analysis.replay import build_replay_plan, replay, replay_coloured
+from repro.analysis.replay import replay, replay_coloured, replay_plan_for
 from repro.analysis.tracefile import decode_recorded_run, encode_recorded_run
 from repro.android.device import RecordedRun, SinkCheck, SourceRegistration
 from repro.core.config import PIFTConfig
@@ -153,7 +153,7 @@ def test_hot_paths_build_no_event_objects(monkeypatch):
     tracefile._encode_events(trace)
     recorded = RecordedRun(trace=trace, sources=run.sources,
                            sink_checks=run.sink_checks)
-    build_replay_plan(recorded)
+    replay_plan_for(recorded)
     config = PIFTConfig(13, 3)
     tainted = [replay(recorded, config).alarm,
                replay_coloured(recorded, config).alarm]

@@ -456,6 +456,7 @@ class TestColourJson:
         coloured = run_json(capsys, ["suite", "--colours", "--json"])
         assert "colours" not in plain
         self._assert_attribution_schema(coloured["colours"])
+        assert coloured["colours"]["colours"], "no colour attributed a hit"
         # Attribution is a second pass, never a second opinion: the
         # verdict payload is byte-identical with and without it.
         assert json.dumps(plain["report"], sort_keys=True) == json.dumps(
@@ -506,6 +507,7 @@ class TestColourJson:
         report = json.loads(capsys.readouterr().out)
         attribution = report["colour_attribution"]
         assert attribution["cells"] == 2
+        assert attribution["colours"], "empty attribution table"
         for row in attribution["colours"]:
             assert {"colour", "apps", "sink_hits"} <= row.keys()
             assert row["sink_hits"] > 0

@@ -1,9 +1,9 @@
 """Unit tests for the multi-colour taint layer.
 
-Covers the colour registry and mask-carrying range set
-(``repro.core.colours``), the single-pass coloured provenance wrapper
-(``repro.core.provenance.ColourProvenance``), coloured buffered tracking
-(``repro.core.buffered``), suite attribution
+Covers the colour registry (``repro.core.colours``), the colour masks of
+``repro.core.ranges.RangeSet``, the single-pass coloured provenance
+wrapper (``repro.core.provenance.ColourProvenance``), coloured buffered
+tracking (``repro.core.buffered``), suite attribution
 (``repro.analysis.provenance``), and the colour fields' journey through
 the sweep journal and the run report.  The cross-strategy equivalences
 live in ``tests/property/test_colour_parity.py``; this file pins the
@@ -12,10 +12,10 @@ small exact behaviours those properties quantify over.
 
 import pytest
 
-from repro.core.colours import ColourRangeSet, ColourSpace
+from repro.core.colours import ColourSpace
 from repro.core.config import PIFTConfig
 from repro.core.events import EventColumns, load, store
-from repro.core.ranges import AddressRange
+from repro.core.ranges import AddressRange, RangeSet
 from repro.core.tracker import ColourTracker
 
 IMEI, GPS, SMS = 0b001, 0b010, 0b100
@@ -61,7 +61,7 @@ class TestColourSpace:
 
 class TestColourRangeSetAdd:
     def test_gap_insert_and_equal_mask_coalesce(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(20, 29), IMEI)
         assert triples(crs) == [(0, 9, IMEI), (20, 29, IMEI)]
@@ -71,14 +71,14 @@ class TestColourRangeSetAdd:
         assert crs.total_size == 30
 
     def test_gap_insert_between_different_masks_stays_separate(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(20, 29), GPS)
         crs.add(AddressRange(10, 19), SMS)
         assert triples(crs) == [(0, 9, IMEI), (10, 19, SMS), (20, 29, GPS)]
 
     def test_absorbed_add_is_a_version_noop(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 99), IMEI | GPS)
         version = crs._version
         starts_before, _ = crs.as_arrays()
@@ -89,7 +89,7 @@ class TestColourRangeSetAdd:
         assert triples(crs) == [(0, 99, IMEI | GPS)]
 
     def test_overlapping_add_ors_and_splits_at_boundaries(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 99), IMEI)
         crs.add(AddressRange(40, 59), GPS)
         assert triples(crs) == [
@@ -98,7 +98,7 @@ class TestColourRangeSetAdd:
         assert crs.total_size == 100  # coverage unchanged by colouring
 
     def test_add_straddling_multiple_ranges_fills_gaps(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(30, 39), GPS)
         crs.add(AddressRange(5, 34), SMS)
@@ -112,12 +112,12 @@ class TestColourRangeSetAdd:
 
     def test_zero_mask_rejected(self):
         with pytest.raises(ValueError):
-            ColourRangeSet().add(AddressRange(0, 1), 0)
+            RangeSet().add(AddressRange(0, 1), 0)
 
 
 class TestColourRangeSetRemove:
     def test_remove_is_colour_blind_and_keeps_remnant_masks(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 49), IMEI)
         crs.add(AddressRange(50, 99), GPS)
         crs.remove(AddressRange(40, 59))  # straddles both colours
@@ -125,7 +125,7 @@ class TestColourRangeSetRemove:
         assert crs.total_size == 80
 
     def test_mask_overlapping_unions(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(10, 19), GPS)
         assert crs.mask_overlapping(AddressRange(5, 15)) == IMEI | GPS
@@ -183,29 +183,29 @@ class TestColouredRangeCountHighWater:
 
 class TestColourRangeSetPersistence:
     def test_snapshot_restore_round_trip_with_masks(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(20, 29), GPS)
-        clone = ColourRangeSet()
+        clone = RangeSet()
         clone.restore(crs.snapshot())
         assert clone == crs
         assert clone.total_size == crs.total_size
 
     def test_restore_of_maskless_snapshot_defaults_to_one_colour(self):
         # Snapshots written by colour-free builds carry no masks key.
-        clone = ColourRangeSet()
+        clone = RangeSet()
         clone.restore({"starts": [0, 20], "ends": [9, 29]})
         assert triples(clone) == [(0, 9, 1), (20, 29, 1)]
 
     def test_copy_is_independent(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         clone = crs.copy()
         clone.add(AddressRange(100, 109), GPS)
         assert len(crs) == 1 and len(clone) == 2
 
     def test_drop_nth_range_updates_total(self):
-        crs = ColourRangeSet()
+        crs = RangeSet()
         crs.add(AddressRange(0, 9), IMEI)
         crs.add(AddressRange(20, 29), GPS)
         victim = crs.drop_nth_range(1)

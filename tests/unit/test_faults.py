@@ -462,6 +462,51 @@ class TestSnapshotRestore:
         assert second.stats.as_dict() == straight.stats.as_dict()
         assert second.snapshot() == straight.snapshot()
 
+    def test_maskless_snapshot_restores_a_live_window_as_colour_one(self):
+        """A snapshot without colour masks, as builds before plain taint
+        states carried them wrote, restores its ranges and its live
+        window with mask 1, and the resumed run equals the
+        uninterrupted one."""
+        events = leaky_workload(120)
+        straight = PIFTTracker(CONFIG)
+        straight.taint_source(IMEI)
+        straight.run(events)
+
+        first = PIFTTracker(CONFIG)
+        first.taint_source(IMEI)
+        first.run(events[:47])  # ends on the load that opens a window
+        snap = json.loads(json.dumps(first.snapshot()))
+        assert snap["windows"]["0"]["last_tainted_load"] is not None
+        for window in snap["windows"].values():
+            del window["colour_mask"]
+        for state in snap["states"].values():
+            del state["masks"]
+        second = PIFTTracker(CONFIG)
+        second.restore(snap)
+        second.run(events[47:])
+        assert second.snapshot() == straight.snapshot()
+
+    def test_bounded_cache_tracker_round_trip(self):
+        """A single-bit state reports a window's hit as ``True``; the
+        snapshot writes it as the uint64 mask 1, which restores."""
+        def cache():
+            return BoundedRangeCache(4)
+
+        events = leaky_workload(120)
+        straight = PIFTTracker(CONFIG, state_factory=cache)
+        straight.taint_source(IMEI)
+        straight.run(events)
+
+        first = PIFTTracker(CONFIG, state_factory=cache)
+        first.taint_source(IMEI)
+        first.run(events[:47])
+        snap = json.loads(json.dumps(first.snapshot()))
+        assert type(snap["windows"]["0"]["colour_mask"]) is int
+        second = PIFTTracker(CONFIG, state_factory=cache)
+        second.restore(snap)
+        second.run(events[47:])
+        assert second.snapshot() == straight.snapshot()
+
     def test_bounded_cache_round_trip(self):
         cache = BoundedRangeCache(4, policy=EvictionPolicy.SPILL)
         for i in range(8):

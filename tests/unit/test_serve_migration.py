@@ -287,6 +287,10 @@ class TestShardSnapshotValidation:
         pytest.param(True, ("window", "colour_mask"), 1 << 64,
                      id="window-mask-beyond-uint64"),
         pytest.param(True, ("state", "masks"), [0], id="range-mask-zero"),
+        pytest.param(False, ("window", "colour_mask"), True,
+                     id="plain-window-mask-bool"),
+        pytest.param(False, ("state", "masks"), [1 << 64],
+                     id="plain-range-mask-beyond-uint64"),
         pytest.param(True, ("tracker", "colours"), {"names": [3]},
                      id="colour-name-int"),
     ])
